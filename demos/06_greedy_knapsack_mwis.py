@@ -2,8 +2,10 @@
 
 Both knapsack (score v/s^rho) and max-weight independent set (score
 w/(1+deg)^rho) are step functions of rho: the output changes only where two
-candidates swap rank.  Enumerating those swap points gives the exact
-piecewise-constant value function without any grid search.
+candidates swap rank.  Each greedy run reports the interval of rho on which
+its comparisons keep their outcomes, and sweeping those intervals across the
+domain gives the exact piecewise-constant value function without any grid
+search.
 """
 
 import numpy as np

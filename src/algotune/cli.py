@@ -1,7 +1,7 @@
 """Command-line surface over the algorithm families and calculators.
 
-Exit codes: 0 success, 2 input error, 3 verification failure.  Numeric output
-uses 9 significant digits; CSV always uses '.' as the decimal separator.
+Exit codes: 0 success, 2 input error, 3 verification failure.  Piece tables
+and ``bounds`` print 9 significant digits, ``learn`` CSV 12; CSV uses '.'.
 """
 
 from __future__ import annotations
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt=True):
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -414,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("learn")
     q = pl.add_subparsers(dest="action", required=True).add_parser("run")
     q.add_argument("--config", required=True)
+    q.add_argument("--seed", type=int, default=None)  # overrides the config seed
     common(q, fmt=False)
     pl.set_defaults(func=_cmd_learn)
 

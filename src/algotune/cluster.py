@@ -4,8 +4,8 @@ Three merge families interpolate between the classic linkages: C1 combines
 the min and max pairwise distances through a power exponent, C2 mixes them
 linearly (rho = 1 is single linkage, rho = 0 complete linkage), and C3 is the
 power mean of all pairwise distances (rho = 1 is average linkage).  Because
-C2 comparisons are linear in rho, the merge sequence over [0, 1] decomposes
-into exactly computable intervals; C1 and C3 are evaluated pointwise only.
+C2 comparisons are linear in rho, each C2 run certifies the exact interval of
+rho keeping its merge sequence; C1 and C3 are evaluated pointwise only.
 
 Pruning a cluster tree to k clusters minimizes the k-median (medoid) cost by
 dynamic programming over the tree.
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction1D
+from .piecewise import PiecewiseFunction1D, sweep_constant
 
 INF = float("inf")
 
@@ -227,48 +228,34 @@ def c2_breakpoints(
 ) -> PiecewiseFunction1D:
     """Exact decomposition of rho in [0, 1] into fixed-merge-sequence pieces.
 
-    Divide and conquer: run the C2 agglomeration at both endpoints; where the
-    merge sequences differ, split at the exact crossing of the first
-    differing step's two linear merge values and recurse.  Piece values are
-    ``utility(tree)``.
+    A C2 merge value is the line ``rho * min + (1 - rho) * max`` of a pair's
+    distances.  A run certifies where each step's merged pair stays below
+    every other pair of that step's clusters, which is exactly where the
+    merge sequence is unchanged.  Piece values are ``utility(tree)``.
     """
-    cache: dict[float, ClusterTree] = {}
 
-    def run(rho):
-        if rho not in cache:
-            cache[rho] = agglomerate(inst, "C2", rho)
-        return cache[rho]
-
-    def minmax(pair):
-        vals = _pairwise(inst, pair[0], pair[1])
+    def span(a, b):
+        vals = _pairwise(inst, a, b)
         return float(vals.min()), float(vals.max())
 
-    segments: list[tuple[float, float, ClusterTree]] = []
+    def run(rho):
+        tree = agglomerate(inst, "C2", rho)
+        l, r = -INF, INF
+        clusters = [(i,) for i in range(inst.n)]
+        for m in tree.merges:
+            lo1, hi1 = span(m.left, m.right)
+            for lo2, hi2 in (span(a, b) for a, b in combinations(clusters, 2)):
+                # merged minus other is (hi1 - hi2) + rho * slope, <= 0 at rho
+                slope = (lo1 - hi1) - (lo2 - hi2)
+                if slope > 0:
+                    r = min(r, (hi2 - hi1) / slope)
+                elif slope < 0:
+                    l = max(l, (hi2 - hi1) / slope)
+            clusters = [c for c in clusters if c not in (m.left, m.right)]
+            clusters.append(tuple(sorted(m.left + m.right)))
+        return utility(tree), l, r
 
-    def rec(lo, hi, t_lo, t_hi, depth):
-        if t_lo.merge_sequence() == t_hi.merge_sequence() or hi - lo < 1e-12 or depth > 200:
-            segments.append((lo, hi, t_lo))
-            return
-        step = next(
-            i
-            for i, (a, b) in enumerate(zip(t_lo.merge_sequence(), t_hi.merge_sequence()))
-            if a != b
-        )
-        lo1, hi1 = minmax(t_lo.merge_sequence()[step])
-        lo2, hi2 = minmax(t_hi.merge_sequence()[step])
-        denom = (lo1 - hi1) - (lo2 - hi2)
-        cut = (hi2 - hi1) / denom if denom != 0 else None
-        if cut is None or not (lo + 1e-12 < cut < hi - 1e-12):
-            cut = 0.5 * (lo + hi)
-        t_cut = run(cut)
-        rec(lo, cut, t_lo, t_cut, depth + 1)
-        rec(cut, hi, t_cut, t_hi, depth + 1)
-
-    rec(0.0, 1.0, run(0.0), run(1.0), 0)
-    segments.sort(key=lambda s: s[0])
-    bps = [s[0] for s in segments[1:]]
-    pieces = [(0.0, float(utility(t)), None) for (_, _, t) in segments]
-    return PiecewiseFunction1D(0.0, 1.0, bps, pieces)
+    return sweep_constant(run, 0.0, 1.0)
 
 
 def pair_counting_utility(

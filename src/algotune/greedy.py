@@ -2,10 +2,10 @@
 
 Both families have piecewise-constant value as a function of the exponent
 parameter: the output can only change where two items (or two vertices at
-some pair of degrees) swap rank in the greedy score.  The breakpoint
-functions enumerate those candidate swap points, evaluate the greedy once per
-cell midpoint, and merge equal neighbors, which caps piece counts at n^2 + 1
-for knapsack and within the n^4 candidate budget for MWIS.
+some pair of degrees) swap rank in the greedy score.  Each run also yields
+the interval of rho on which its comparisons keep their outcomes, and the
+breakpoint functions cover [0, rho_max] with those certified intervals
+(``piecewise.sweep_constant``), at a cost set by the number of intervals.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .piecewise import PiecewiseFunction1D
+import numpy as np
+
+from .piecewise import PiecewiseFunction1D, sweep_constant
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,20 @@ class KnapsackInstance:
         return cls(tuple(vals), tuple(sizes), float(capacity))
 
 
-def _pack(inst: KnapsackInstance, order) -> tuple[set[int], float]:
+def _density_packing(inst: KnapsackInstance, rho: float):
+    """Pack greedily by v/s^rho: ``(order, chosen, total)``.  sorted() is stable,
+    so ties keep index order, and rho = 0 orders by value."""
+    v, s = inst.values, inst.sizes
+    order = sorted(range(inst.n), key=lambda i: -v[i] / s[i] ** rho)
     chosen: set[int] = set()
     used = 0.0
     total = 0.0
     for i in order:
-        if used + inst.sizes[i] <= inst.capacity:
+        if used + s[i] <= inst.capacity:
             chosen.add(i)
-            used += inst.sizes[i]
-            total += inst.values[i]
-    return chosen, total
+            used += s[i]
+            total += v[i]
+    return order, chosen, total
 
 
 def knapsack_greedy(inst: KnapsackInstance, rho: float) -> tuple[set[int], float]:
@@ -68,36 +74,40 @@ def knapsack_greedy(inst: KnapsackInstance, rho: float) -> tuple[set[int], float
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    by_value = sorted(range(inst.n), key=lambda i: (-inst.values[i], i))
-    by_density = sorted(
-        range(inst.n), key=lambda i: (-inst.values[i] / inst.sizes[i] ** rho, i)
-    )
-    sv, tv = _pack(inst, by_value)
-    sd, td = _pack(inst, by_density)
+    _, sv, tv = _density_packing(inst, 0.0)
+    _, sd, td = _density_packing(inst, rho)
     return (sd, td) if td > tv else (sv, tv)
 
 
 def knapsack_breakpoints(inst: KnapsackInstance, rho_max: float) -> PiecewiseFunction1D:
     """Piecewise-constant greedy value over rho in [0, rho_max].
 
-    Candidate breakpoints are the pairwise rank-swap points
-    ln(v_i/v_j) / ln(s_i/s_j); cells between them are evaluated once at their
-    midpoint.  Degenerate pairs (equal values or equal sizes) never swap and
-    contribute no candidate.
+    Items i < j swap density rank at ln(v_i/v_j) / ln(s_i/s_j).  A run
+    certifies where every packed item stays ahead of each item after it: the
+    packing sequence, and so the float total, is fixed there.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    cands = set()
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            if inst.sizes[i] == inst.sizes[j] or inst.values[i] == inst.values[j]:
-                continue
-            rho = math.log(inst.values[i] / inst.values[j]) / math.log(
-                inst.sizes[i] / inst.sizes[j]
-            )
-            if 0.0 < rho < rho_max:
-                cands.add(rho)
-    return _evaluate_cells(sorted(cands), rho_max, lambda r: knapsack_greedy(inst, r)[1])
+    n, v, s = inst.n, inst.values, inst.sizes
+    # a stays ahead of b while above[a, b] < rho < below[a, b]
+    below, above = np.full((n, n), math.inf), np.full((n, n), -math.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ls = math.log(s[i] / s[j])
+            if ls:  # the bigger item leads below the swap point
+                big, small = (i, j) if ls > 0 else (j, i)
+                below[big, small] = above[small, big] = math.log(v[i] / v[j]) / ls
+    tv = _density_packing(inst, 0.0)[2]
+
+    def run(rho):
+        order, packed, td = _density_packing(inst, rho)
+        rank = np.argsort(order)
+        idx = list(packed)
+        later = rank[idx, None] < rank
+        lo = above[idx][later].max(initial=-math.inf)
+        return (td if td > tv else tv), lo, below[idx][later].min(initial=math.inf)
+
+    return sweep_constant(run, 0.0, rho_max)
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,24 @@ class WeightedGraph:
         return cls.from_edges(n, edges, wvec)
 
 
+def _mwis_run(g: WeightedGraph, rho: float):
+    """Greedy loop: ``(chosen, total, rounds)``, each round's choice and live degrees."""
+    alive = set(range(g.n))
+    chosen: set[int] = set()
+    total = 0.0
+    rounds = []
+    while alive:
+        degree = {v: len(g.adjacency[v] & alive) for v in sorted(alive)}
+        # max() keeps the first maximum, so score ties go to the lowest index
+        best_v = max(degree, key=lambda v: g.weights[v] / (1 + degree[v]) ** rho)
+        rounds.append((best_v, degree))
+        chosen.add(best_v)
+        total += g.weights[best_v]
+        alive.discard(best_v)
+        alive -= g.adjacency[best_v]
+    return chosen, total, rounds
+
+
 def mwis_greedy(g: WeightedGraph, rho: float) -> tuple[set[int], float]:
     """Iteratively take the vertex maximizing w(v)/(1+deg(v))^rho.
 
@@ -157,65 +185,30 @@ def mwis_greedy(g: WeightedGraph, rho: float) -> tuple[set[int], float]:
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    alive = set(range(g.n))
-    chosen: set[int] = set()
-    total = 0.0
-    while alive:
-        best_v = -1
-        best_score = -math.inf
-        for v in range(g.n):  # ascending order realizes the index tie-break
-            if v not in alive:
-                continue
-            deg = len(g.adjacency[v] & alive)
-            score = g.weights[v] / (1 + deg) ** rho
-            if score > best_score:
-                best_v, best_score = v, score
-        chosen.add(best_v)
-        total += g.weights[best_v]
-        alive.discard(best_v)
-        alive -= g.adjacency[best_v]
-    return chosen, total
+    return _mwis_run(g, rho)[:2]
 
 
 def mwis_breakpoints(g: WeightedGraph, rho_max: float) -> PiecewiseFunction1D:
     """Piecewise-constant MWIS-greedy value over rho in [0, rho_max].
 
-    Candidates cover every weight pair at every degree pair that could occur
-    on the shrinking graph (an O(n^4) over-approximation; true discontinuities
-    are a subset, verified downstream by grid oracles).
+    Vertices u < v at degrees du, dv swap score rank at
+    ln(w_u/w_v) / ln((1+du)/(1+dv)).  A run certifies where each round's
+    chosen vertex beats every other live vertex at their current degrees.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    if g.n > 30:
-        raise ValueError("candidate explosion")
-    cands = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.weights[u] == g.weights[v]:
-                continue
-            dw = math.log(g.weights[u] / g.weights[v])
-            for du in range(g.n):
-                for dv in range(g.n):
-                    if du == dv:
-                        continue
-                    rho = dw / math.log((1 + du) / (1 + dv))
-                    if 0.0 < rho < rho_max:
-                        cands.add(rho)
-    return _evaluate_cells(sorted(cands), rho_max, lambda r: mwis_greedy(g, r)[1])
+    w = g.weights
 
+    def run(rho):
+        _, total, rounds = _mwis_run(g, rho)
+        l, r = -math.inf, math.inf
+        for v, degree in rounds:
+            for u, du in degree.items():
+                if du != degree[v]:
+                    p, q = sorted((u, v))
+                    x = math.log(w[p] / w[q]) / math.log((1 + degree[p]) / (1 + degree[q]))
+                    # v stays ahead of u below the swap point if its degree is higher
+                    l, r = (l, min(r, x)) if du < degree[v] else (max(l, x), r)
+        return total, l, r
 
-def _evaluate_cells(cands: list[float], rho_max: float, value_at) -> PiecewiseFunction1D:
-    edges = [0.0]
-    for c in cands:
-        if c - edges[-1] > 1e-12:
-            edges.append(c)
-    edges.append(float(rho_max))
-    if edges[-1] - edges[-2] <= 1e-12:
-        edges.pop(-2)
-    bps, pieces = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        v = value_at(0.5 * (lo + hi))
-        if pieces:
-            bps.append(lo)
-        pieces.append((0.0, float(v), None))
-    return PiecewiseFunction1D(0.0, float(rho_max), bps, pieces)
+    return sweep_constant(run, 0.0, rho_max)

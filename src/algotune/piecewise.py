@@ -344,6 +344,27 @@ def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
     return changes
 
 
+def sweep_constant(run, lo: float, hi: float) -> PiecewiseFunction1D:
+    """Cover ``[lo, hi]`` with the intervals ``run`` certifies, one run per interval.
+
+    ``run(x)`` returns ``(value, l, r)``: every comparison the run made keeps its
+    outcome on ``[l, r]``.  Gaps narrower than ``EPS_CMP`` take the value on their right.
+    """
+    found, todo = [], [(float(lo), float(hi))]
+    while todo:
+        a, b = todo.pop()
+        x = 0.5 * (a + b)
+        value, l, r = run(x)
+        # the certificate always covers x, even if rounding puts a crossing past it
+        l, r = min(max(l, a), x), max(min(r, b), x)
+        found.append((l, r, float(value)))
+        todo += [side for side in ((a, l), (r, b)) if side[1] - side[0] >= EPS_CMP]
+    # a probe on a tie that flips both ways certifies only x: the piece right of x owns it
+    found = [p for p in sorted(found) if p[0] < p[1]] or found[:1]
+    pieces = [(0.0, v, None) for _, _, v in found]
+    return PiecewiseFunction1D(lo, hi, [r for _, r, _ in found[:-1]], pieces)
+
+
 def refine_constant(
     fn: PiecewiseFunction1D, evaluator: Callable[[float], float]
 ) -> PiecewiseFunction1D:

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import algotune
 from algotune.cli import dispatch
 
 
@@ -128,6 +130,20 @@ def test_greedy_knapsack_and_mwis(tmp_path, capsys):
     assert out.startswith("piece_lo,piece_hi")
 
 
+def test_seed_only_on_learn_run(tmp_path, capsys):
+    kp = tmp_path / "items.csv"
+    kp.write_text("10,10\n6,4\n5,5\n")
+    code, _, _ = run_cli(
+        capsys, "greedy", "knapsack", "--input", str(kp), "--capacity", "10",
+        "--seed", "1",
+    )
+    assert code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "spa_erm", "n_schedule": [10], "trials": 2}))
+    out = tmp_path / "a.csv"
+    assert dispatch(["learn", "run", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+
+
 def test_cluster_run_and_decompose(tmp_path, capsys):
     pts = tmp_path / "points.csv"
     pts.write_text("0,0\n0.1,0\n5,5\n5.2,5\n")
@@ -212,10 +228,14 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same algotune as this process, installed or not
+    src = os.path.dirname(os.path.dirname(algotune.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "algotune.cli"] ,
+        [sys.executable, "-m", "algotune.cli"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     # bare invocation prints usage and exits 2 via argparse
     assert proc.returncode == 2

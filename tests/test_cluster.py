@@ -200,6 +200,27 @@ def test_c2_breakpoints_match_direct_runs():
             assert fn.value(rho) == pytest.approx(want, abs=1e-9)
 
 
+def test_c2_breakpoints_exact_at_the_switch():
+    # two unit-variance blobs 2 apart; both sides of every breakpoint, 1e-11
+    # away, must match a direct run (a bisection cut-off would miss the switch)
+    blob_rng = np.random.default_rng(5)
+    pieces = 0
+    for trial in range(24):
+        n = 5 + trial % 3
+        truth = [0] * (n // 2) + [1] * (n - n // 2)
+        pts = np.column_stack(
+            [blob_rng.normal(2.0 * np.array(truth), 1.0), blob_rng.normal(0.0, 1.0, n)]
+        )
+        inst = ClusterInstance.from_points(np.round(pts, 6))
+        util = pair_counting_utility(inst, truth, 2)
+        fn = c2_breakpoints(inst, util)
+        pieces += len(fn.pieces)
+        for b in fn.breakpoints:
+            for x in (b - 1e-11, b + 1e-11):
+                assert fn.value(x) == util(agglomerate(inst, "C2", x)), (trial, b, x)
+    assert pieces > 24
+
+
 def test_pair_counting_utility_bounds():
     inst = random_instance(6)
     truth = [0, 0, 0, 1, 1, 1]

@@ -166,10 +166,13 @@ def test_mwis_breakpoints_match_grid():
             assert fn.value(rho) == pytest.approx(total, abs=1e-9)
 
 
-def test_mwis_breakpoints_node_cap():
-    g = random_graph(31)
-    with pytest.raises(ValueError, match="candidate explosion"):
-        mwis_breakpoints(g, 2.0)
+def test_mwis_breakpoints_large_graphs_match_grid():
+    for n in (31, 60):
+        g = random_graph(n, p=0.15)
+        fn = mwis_breakpoints(g, 2.0)
+        for rho in np.linspace(0.0, 2.0, 1001):
+            rho = float(rho)
+            assert fn.value(rho) == mwis_greedy(g, rho)[1], (n, rho)
 
 
 def test_graph_text_parsing():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from algotune.piecewise import (
+    EPS_CMP,
     Line1D,
     PiecewiseFunction1D,
     argmax,
     average,
     count_oscillations,
+    sweep_constant,
     upper_envelope,
 )
 
@@ -203,3 +205,57 @@ def test_json_round_trip():
     parsed = json.loads(blob)
     assert set(parsed) == {"lo", "hi", "breakpoints", "pieces"}
     assert PiecewiseFunction1D.from_json(blob) == fn
+
+
+def step_run(steps, values, calls):
+    """Toy run: the step of [steps[i], steps[i+1]) holding x, certified exactly."""
+    edges = [-math.inf, *steps, math.inf]
+
+    def run(x):
+        calls.append(x)
+        i = sum(t <= x for t in steps)
+        return values[i], edges[i], edges[i + 1]
+
+    return run
+
+
+def test_sweep_probe_on_a_step():
+    calls = []
+    fn = sweep_constant(step_run([0.25, 0.5], [1.0, 2.0, 3.0], calls), 0.0, 1.0)
+    assert calls[0] == 0.5  # the first probe lands exactly on a step
+    assert fn.breakpoints == [0.25, 0.5]
+    assert [p[1] for p in fn.pieces] == [1.0, 2.0, 3.0]
+    assert fn.value(0.5) == 3.0 and fn.value(0.25) == 2.0
+    assert len(calls) == 3
+
+
+def test_sweep_probe_on_a_tie_that_flips_both_ways():
+    # at exactly 0.5 the run certifies only the point itself
+    def run(x):
+        if x == 0.5:
+            return 9.0, 0.5, 0.5
+        return (1.0, -math.inf, 0.5) if x < 0.5 else (2.0, 0.5, math.inf)
+
+    fn = sweep_constant(run, 0.0, 1.0)
+    assert fn.breakpoints == [0.5]
+    assert [p[1] for p in fn.pieces] == [1.0, 2.0]
+    assert fn.value(0.5) == 2.0
+
+
+def test_sweep_skips_gap_narrower_than_eps():
+    calls = []
+    sliver = 0.3 + 0.4 * EPS_CMP
+    fn = sweep_constant(step_run([0.3, sliver], [1.0, 5.0, 2.0], calls), 0.0, 1.0)
+    assert len(calls) == 2  # the sliver is never probed
+    assert fn.breakpoints == [0.3]  # and takes the value on its right
+    assert [p[1] for p in fn.pieces] == [1.0, 2.0]
+
+
+def test_sweep_constant_run_has_no_breakpoints():
+    calls = []
+    fn = sweep_constant(step_run([], [7.0], calls), 0.0, 4.0)
+    assert fn.breakpoints == [] and fn.pieces == [(0.0, 7.0, None)]
+    assert len(calls) == 1
+    # a certificate narrower than the true piece costs runs, not breakpoints
+    fn = sweep_constant(lambda x: (7.0, x - 0.1, x + 0.1), 0.0, 4.0)
+    assert fn.breakpoints == [] and fn.pieces == [(0.0, 7.0, None)]
