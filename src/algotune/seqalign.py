@@ -4,9 +4,14 @@ The pairwise aligner maximizes
 
     matches - rho1 * mismatches - rho2 * indels - rho3 * gap_runs
 
-with a three-state dynamic program.  Tie-breaking is fixed globally
+with a three-state (Gotoh) dynamic program, swept one anti-diagonal at a
+time with numpy: it keeps three score diagonals (O(n + m) floats) and a
+traceback of one uint8 per cell, and ``MAX_LEN`` follows from a stated
+traceback budget (see ``affine_align``).  Tie-breaking is fixed globally
 (diagonal, then gap in the second row, then gap in the first row) so the
-output is a deterministic function of the parameters.  On the one-dimensional
+output is a deterministic function of the parameters; the sweep does the
+float operations of the cell-by-cell recurrence, so scores and ties match it
+exactly.  On the one-dimensional
 indel slice (rho1 = rho3 = 0) the optimal objective is the upper envelope of
 one line per reachable alignment, and ``indel_breakpoints`` computes that
 envelope exactly by recursive parametric search.
@@ -23,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence as Seq
+
+import numpy as np
 
 from .piecewise import PiecewiseFunction1D, refine_constant
 
@@ -145,15 +152,45 @@ def objective(feats: AlignmentFeatures, p: AffineParams) -> float:
 # DP states: 0 = diagonal, 1 = gap in row 2 (consumes s1), 2 = gap in row 1.
 _D, _P, _Q = 0, 1, 2
 
+# The traceback keeps one uint8 per interior cell, so an n x m alignment
+# holds n * m bytes of it; scores live on three anti-diagonals, O(n + m).
+TRACEBACK_BUDGET = 100_000_000  # bytes
+TRACEBACK_BYTES_PER_CELL = 1
+MAX_LEN = math.isqrt(TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL)  # 10_000
+
+# bit weights packing two "candidate below the max" flags per target state
+_TRACE_BITS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
+_SUB_ROWS = 64  # diagonals per block of precomputed substitution scores
+
 
 def affine_align(
-    s1: Sequence, s2: Sequence, p: AffineParams, max_len: int = 10_000
+    s1: Sequence, s2: Sequence, p: AffineParams, max_len: int = MAX_LEN
 ) -> tuple[Alignment, AlignmentFeatures, float]:
     """Optimal affine-gap alignment of two sequences.
 
     Deterministic traceback: at equal score prefer the diagonal move, then a
     gap in row 2, then a gap in row 1, both for the final state and for every
     predecessor choice.
+
+    The Gotoh recurrences are swept by anti-diagonals: cell (i, j) reads only
+    diagonals i + j - 1 and i + j - 2, so each diagonal is computed at once
+    from a (target state x D/P/Q predecessor) candidate block, with exactly
+    the float operations of the cell-by-cell recurrence (one max, then add the
+    substitution score; predecessor minus the open or extend penalty).  Scores
+    are therefore bit-identical to a row-by-row loop, and so are ties.  The
+    predecessor is the first candidate equal to the block's max, which is the
+    D > P > Q priority that ``argmax`` would give; two comparisons with the
+    max find it (numpy's ``argmax`` over a length-3 axis costs a call per
+    cell).  The traceback stores, per target state, whether D and whether P
+    fall below the max: 6 bits in one uint8 per cell.
+
+    Memory: three score diagonals (O(n + m) floats), a block of substitution
+    scores for the next ``_SUB_ROWS`` diagonals (O(n) floats), and a
+    traceback of ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes, held skewed so
+    that each diagonal is one contiguous slice.  The default ``max_len`` is
+    the largest L with ``L * L * TRACEBACK_BYTES_PER_CELL <=
+    TRACEBACK_BUDGET`` (10^8 bytes), i.e. 10,000; lengths are checked before
+    anything is allocated.
     """
     n, m = len(s1), len(s2)
     if n == 0 or m == 0:
@@ -163,52 +200,63 @@ def affine_align(
 
     open_pen = p.rho2 + p.rho3
     ext_pen = p.rho2
+    # end gaps: -(open + (k - 1) * ext) for a run of k >= 1 letters
+    edge = (-(open_pen + np.arange(max(n, m)) * ext_pen)).tolist()
+    codes: dict[str, int] = {}
+    a = np.array([codes.setdefault(c, len(codes)) for c in s1.chars])
+    pad = np.full(n, -1)
+    b = np.concatenate((pad, [codes.setdefault(c, len(codes)) for c in s2.chars], pad))
+    # facing[d - 2, i - 1] is the code of s2[d - i - 1], or -1 off the table
+    facing = np.ndarray((n + m - 1, n), b.dtype, b, n * b.itemsize, (b.itemsize, -b.itemsize))
+    # subtracted from the (D, P, Q) predecessors of P, then of Q
+    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])[:, :, None]
 
-    D = [[NEG] * (m + 1) for _ in range(n + 1)]
-    P = [[NEG] * (m + 1) for _ in range(n + 1)]
-    Q = [[NEG] * (m + 1) for _ in range(n + 1)]
-    # back[state][i][j] = predecessor state
-    back = [[[0] * (m + 1) for _ in range(n + 1)] for _ in range(3)]
+    # ring[d % 3, state, i] holds cell (i, d - i); one spare column lets the
+    # P and Q predecessors of a diagonal (offsets i - 1 and i) be one window.
+    ring = np.full((3, 3, n + 2), NEG)
+    ring[0, _D, 0] = 0.0
+    ring[1, _Q, 0] = ring[1, _P, 1] = edge[0]
+    s_slot, s_state, s_cell = ring.strides
+    window = np.ndarray((3, 2, 3, n + 1), ring.dtype, ring, 0, (s_slot, s_cell, s_state, s_cell))
+    cand = np.empty((3, 3, n))  # target state, predecessor state, cell
+    # interior cells (i, j >= 1), diagonal by diagonal, ascending i
+    trace = np.empty(n * m, dtype=np.uint8)
+    starts = [0, 0]  # trace offset of each diagonal's first cell
+    off = 0
+    for d in range(2, n + m + 1):
+        cur, last = d % 3, (d - 1) % 3
+        if d == 3:  # the origin's slot moves on to cell (0, 3)
+            ring[0, _D, 0] = NEG
+        if d <= m:  # cell (0, d)
+            ring[cur, _Q, 0] = edge[d - 1]
+        if d <= n:  # cell (d, 0)
+            ring[cur, _P, d] = edge[d - 1]
+        if (d - 2) % _SUB_ROWS == 0:
+            sub = np.where(facing[d - 2:d - 2 + _SUB_ROWS] == a, 1.0, -p.rho1)
+            first = d
+        lo, hi = max(1, d - m), min(n, d - 1)
+        w = hi - lo + 1
+        starts.append(off)
+        c = cand[:, :, :w]
+        c[_D] = ring[(d - 2) % 3, :, lo - 1:hi]
+        np.subtract(window[last, :, :, lo - 1:hi], pen, out=c[1:])
+        best = ring[cur, :, lo:hi + 1]
+        c.max(axis=1, out=best)
+        below = c[:, :2] != best[:, None]
+        trace[off:off + w] = _TRACE_BITS @ below.reshape(6, w)
+        off += w
+        best[_D] += sub[d - first, lo - 1:hi]
 
-    D[0][0] = 0.0
-    for i in range(1, n + 1):
-        P[i][0] = -(open_pen + (i - 1) * ext_pen)
-        back[_P][i][0] = _D if i == 1 else _P
-    for j in range(1, m + 1):
-        Q[0][j] = -(open_pen + (j - 1) * ext_pen)
-        back[_Q][0][j] = _D if j == 1 else _Q
+    finals = ring[(n + m) % 3, :, n].tolist()
+    state = finals.index(max(finals))  # index() returns the first, i.e. D > P > Q
 
-    for i in range(1, n + 1):
-        ci = s1[i - 1]
-        Di_1, Pi_1, Qi_1 = D[i - 1], P[i - 1], Q[i - 1]
-        Di, Pi, Qi = D[i], P[i], Q[i]
-        bD, bP, bQ = back[_D][i], back[_P][i], back[_Q][i]
-        for j in range(1, m + 1):
-            sub = 1.0 if ci == s2[j - 1] else -p.rho1
-            # diagonal: predecessor priority D > P > Q
-            a, b, c = Di_1[j - 1], Pi_1[j - 1], Qi_1[j - 1]
-            best = max(a, b, c)
-            Di[j] = best + sub
-            bD[j] = _D if a == best else (_P if b == best else _Q)
-            # gap in row 2 (consume s1): extends P, opens from D or Q
-            a, b, c = Di_1[j] - open_pen, Pi_1[j] - ext_pen, Qi_1[j] - open_pen
-            best = max(a, b, c)
-            Pi[j] = best
-            bP[j] = _D if a == best else (_P if b == best else _Q)
-            # gap in row 1 (consume s2)
-            a, b, c = Di[j - 1] - open_pen, Pi[j - 1] - open_pen, Qi[j - 1] - ext_pen
-            best = max(a, b, c)
-            Qi[j] = best
-            bQ[j] = _D if a == best else (_P if b == best else _Q)
-
-    finals = (D[n][m], P[n][m], Q[n][m])
-    best = max(finals)
-    state = finals.index(best)  # index() returns the first, i.e. D > P > Q
-
+    cells = memoryview(trace)
     r1, r2 = [], []
     i, j = n, m
-    while i > 0 or j > 0:
-        prev = back[state][i][j]
+    while i > 0 and j > 0:
+        d = i + j
+        bits = cells[starts[d] + i - max(1, d - m)] >> (2 * state)
+        prev = _D if not bits & 1 else (_P if not bits & 2 else _Q)
         if state == _D:
             r1.append(s1[i - 1])
             r2.append(s2[j - 1])
@@ -223,6 +271,11 @@ def affine_align(
             r2.append(s2[j - 1])
             j -= 1
         state = prev
+    # the first row and column are reached only through end gaps
+    r1 += reversed(s1.chars[:i])
+    r2 += [GAP] * i
+    r1 += [GAP] * j
+    r2 += reversed(s2.chars[:j])
     aln = Alignment((reversed(r1), reversed(r2)))
     feats = pairwise_features(aln)
     return aln, feats, objective(feats, p)

@@ -1,0 +1,111 @@
+"""The anti-diagonal ``affine_align`` against the frozen row-by-row oracle,
+plus its memory bound and length guard."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gotoh_reference import affine_align as reference_align
+
+from algotune.cli import dispatch
+from algotune.seqalign import (
+    MAX_LEN,
+    TRACEBACK_BUDGET,
+    TRACEBACK_BYTES_PER_CELL,
+    AffineParams,
+    Sequence,
+    affine_align,
+    indel_breakpoints,
+)
+
+TIE_RHOS = (0.0, 1 / 3, 2 / 7, 0.5)
+
+
+def seeded_cases(count, seed=7, max_len=40):
+    """Tie-heavy pairs: 2-4 symbol alphabets, penalties from a few exact ratios."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        alphabet = list("ACGT"[: 2 + k % 3])
+        s1 = Sequence(rng.choice(alphabet, size=int(rng.integers(1, max_len + 1))))
+        s2 = Sequence(rng.choice(alphabet, size=int(rng.integers(1, max_len + 1))))
+        if k % 4 == 0:  # the indel slice, rho1 = rho3 = 0
+            p = AffineParams(0.0, TIE_RHOS[(k // 4) % 4], 0.0)
+        elif k % 4 == 3:
+            p = AffineParams(*rng.uniform(0, 2, size=3))
+        else:
+            p = AffineParams(*(TIE_RHOS[int(i)] for i in rng.integers(0, 4, size=3)))
+        cases.append((s1, s2, p))
+    return cases
+
+
+def assert_same(s1, s2, p):
+    got, want = affine_align(s1, s2, p), reference_align(s1, s2, p)
+    assert got[0].rows == want[0].rows, (s1, s2, p)
+    assert got[1] == want[1] and got[2] == want[2], (s1, s2, p)
+
+
+def test_matches_reference_on_seeded_pairs():
+    for s1, s2, p in seeded_cases(600):
+        assert_same(s1, s2, p)
+
+
+def test_matches_reference_at_indel_crossings():
+    # at an envelope breakpoint two alignments tie exactly, so only the
+    # tie-break decides which one comes back
+    crossings = 0
+    for s1, s2, _ in seeded_cases(600)[:50]:
+        env = indel_breakpoints(s1, s2, 4.0)
+        for rho in env.breakpoints:
+            assert_same(s1, s2, AffineParams(0.0, rho, 0.0))
+        crossings += len(env.breakpoints)
+    assert crossings >= 40
+
+
+def test_matches_reference_at_200x200():
+    rng = np.random.default_rng(3)
+    s1 = Sequence(rng.choice(list("ACGT"), size=200))
+    s2 = Sequence(rng.choice(list("ACGT"), size=200))
+    assert_same(s1, s2, AffineParams(0.5, 0.5, 0.5))
+
+
+def test_traced_memory_at_600x600():
+    rng = np.random.default_rng(5)
+    s1 = Sequence(rng.choice(list("ACGT"), size=600))
+    s2 = Sequence(rng.choice(list("ACGT"), size=600))
+    tracemalloc.start()
+    try:
+        affine_align(s1, s2, AffineParams(0.5, 0.5, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_max_len_follows_the_traceback_budget():
+    assert MAX_LEN == 10_000
+    assert MAX_LEN**2 * TRACEBACK_BYTES_PER_CELL <= TRACEBACK_BUDGET
+    assert (MAX_LEN + 1) ** 2 * TRACEBACK_BYTES_PER_CELL > TRACEBACK_BUDGET
+
+
+def test_over_max_len_rejected_before_allocation():
+    long = Sequence("A" * (MAX_LEN + 1))
+    for s1, s2 in ((long, long), (long, Sequence("A")), (Sequence("A"), long)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"configured max {MAX_LEN}"):
+                affine_align(s1, s2, AffineParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
+def test_cli_align_run_over_max_len_exits_2(tmp_path, capsys):
+    fasta = tmp_path / "long.fa"
+    fasta.write_text(f">x\n{'A' * (MAX_LEN + 1)}\n>y\nACGT\n")
+    assert dispatch(["align", "run", "--input", str(fasta)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sequence longer than configured max {MAX_LEN}" in captured.err

@@ -130,6 +130,30 @@ def test_greedy_knapsack_and_mwis(tmp_path, capsys):
     assert out.startswith("piece_lo,piece_hi")
 
 
+def test_greedy_rho_out_of_float_range(tmp_path, capsys):
+    # size ** rho (knapsack) or (1 + degree) ** rho (MWIS) must stay a positive float
+    big = tmp_path / "big.csv"
+    big.write_text("1,10\n2,1\n")
+    small = tmp_path / "small.csv"
+    small.write_text("1,0.5\n2,1\n")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n")
+    cases = [
+        ("knapsack", "--input", str(big), "--capacity", "10", "--rho", "400"),
+        ("knapsack", "--input", str(big), "--capacity", "10", "--decompose", "--rho-max", "800"),
+        ("knapsack", "--input", str(small), "--capacity", "10", "--rho", "2000"),
+        ("mwis", "--input", str(graph), "--rho", "1100"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, "greedy", *argv)
+        assert code == 2, argv
+        assert out == "" and "out of range" in err and "leaves the float range" in err
+    code, out, _ = run_cli(
+        capsys, "greedy", "knapsack", "--input", str(big), "--capacity", "10", "--rho", "300"
+    )
+    assert code == 0 and json.loads(out)["items"] == [1]
+
+
 def test_seed_only_on_learn_run(tmp_path, capsys):
     kp = tmp_path / "items.csv"
     kp.write_text("10,10\n6,4\n5,5\n")
