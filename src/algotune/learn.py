@@ -4,15 +4,14 @@ Expectations are always computed by exact support enumeration (the
 distributions here are finite), so the only randomness is the i.i.d. draw of
 training samples.  Each trial owns an RNG stream derived from the master
 seed XOR the trial index, split further by the training-set size, so any
-trial is reproducible in isolation and results do not depend on how trials
-are scheduled across threads.
+trial is reproducible in isolation.  Trials run one after another; the
+config's ``threads`` field is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,7 +37,7 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     delta: float = 0.01
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: trials run serially
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -251,7 +250,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Per size N, ``cfg.trials`` independent draws are taken with per-trial
     derived seeds, the family's parameter construction is applied, and the
     exact estimation error is recorded.  Adversarial families also report the
-    max over trials.  Output is identical for any thread count.
+    max over trials.  Trials run serially; ``cfg.threads`` does not change
+    the schedule or the output.
     """
     if cfg.family not in _FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}; known: {KNOWN_FAMILIES}")
@@ -259,11 +259,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
 
     rows = []
     for n in cfg.n_schedule:
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                errors = list(pool.map(lambda t: fam.trial(n, t), range(cfg.trials)))
-        else:
-            errors = [fam.trial(n, t) for t in range(cfg.trials)]
+        errors = [fam.trial(n, t) for t in range(cfg.trials)]
         mean = math.fsum(errors) / cfg.trials
         std = math.sqrt(math.fsum((e - mean) ** 2 for e in errors) / cfg.trials)
         rows.append(

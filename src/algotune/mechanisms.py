@@ -350,25 +350,19 @@ class RatingsTable:
 
 
 def ingest_jester(
-    source: str, normalization: str, has_count_column: bool | None = None
+    text: str, normalization: str, has_count_column: bool | None = None
 ) -> RatingsTable:
-    """Parse a ratings CSV with values in [-10, 10] and 99 as missing marker.
+    """Parse ratings CSV text with values in [-10, 10] and 99 as missing marker.
 
-    ``normalization`` is ``"to_unit"`` (x -> (x+10)/20) or ``"to_centered"``
-    (x -> x/20).  A header row is skipped if present; a leading
-    rating-count column is dropped when detected (or as directed).
+    ``text`` is the CSV content itself, not a path.  ``normalization`` is
+    ``"to_unit"`` (x -> (x+10)/20) or ``"to_centered"`` (x -> x/20).  A
+    header row is skipped if present; a leading rating-count column is
+    dropped when detected (or as directed).
     """
     if normalization not in ("to_unit", "to_centered"):
         raise ValueError("normalization must be 'to_unit' or 'to_centered'")
-    try:
-        with open(source) as fh:
-            text = fh.read()
-    except (OSError, ValueError):
-        text = source
 
     rows = [r for r in csv.reader(io.StringIO(text)) if r and any(x.strip() for x in r)]
-    if not rows:
-        raise ValueError("no data rows")
 
     def numeric(row):
         try:
@@ -376,8 +370,10 @@ def ingest_jester(
         except ValueError:
             return None
 
-    if numeric(rows[0]) is None:
+    if rows and numeric(rows[0]) is None:
         rows = rows[1:]  # header
+    if not rows:
+        raise ValueError("no data rows")
     parsed = []
     for ridx, row in enumerate(rows):
         vals = numeric(row)

@@ -7,6 +7,11 @@ as a function of a single parameter, and that function is piecewise linear
 half-open convention [t_i, t_{i+1}); the final piece is closed at a finite
 right endpoint.
 
+Two search kernels build these functions from a solver: ``sweep_constant``
+covers the domain with the intervals each run certifies (piecewise-constant
+outcomes), and ``sweep_linear`` finds the upper envelope of the lines a
+solver returns by Eisner–Severance ray search, with O(pieces) solver calls.
+
 Values are IEEE doubles.  Breakpoints closer than ``EPS_CMP`` are coalesced,
 and all value-level guarantees downstream are stated with tolerances, so no
 exact rational arithmetic is attempted.
@@ -165,7 +170,9 @@ def upper_envelope(lines: Sequence[Line1D], lo: float, hi: float) -> PiecewiseFu
 
     Each piece's tag names a line attaining the max on that piece.  At an
     isolated tie point the right-adjacent piece's line wins (half-open
-    convention); on a tie interval the lowest tag wins.
+    convention); on a tie interval the lowest tag wins.  Cost is
+    O(len(lines) * pieces): one ``sweep_linear`` whose solver takes a max over
+    all lines.
     """
     if not lines:
         raise ValueError("no candidates")
@@ -173,34 +180,11 @@ def upper_envelope(lines: Sequence[Line1D], lo: float, hi: float) -> PiecewiseFu
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need a bounded domain with lo < hi")
 
-    cuts = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            if a.slope == b.slope:
-                continue
-            x = (b.intercept - a.intercept) / (a.slope - b.slope)
-            if lo < x < hi:
-                cuts.add(x)
-    xs = sorted(cuts)
-    # Coalesce cuts within EPS_CMP of each other or of the domain ends.
-    cells = [lo]
-    for x in xs:
-        if x - cells[-1] >= EPS_CMP and hi - x >= EPS_CMP:
-            cells.append(x)
-    cells.append(hi)
+    def solve(x):
+        best = max(lines, key=lambda ln: (ln.value(x), ln.slope, -ln.tag))
+        return best.slope, best.intercept, best.tag
 
-    bps, pieces = [], []
-    for left, right in zip(cells, cells[1:]):
-        mid = 0.5 * (left + right)
-        best = max(ln.value(mid) for ln in lines)
-        winner = min(
-            (ln for ln in lines if ln.value(mid) == best), key=lambda ln: ln.tag
-        )
-        if pieces:
-            bps.append(left)
-        pieces.append((winner.slope, winner.intercept, winner.tag))
-    return PiecewiseFunction1D(lo, hi, bps, pieces)
+    return sweep_linear(solve, lo, hi)
 
 
 def average(fns: Sequence[PiecewiseFunction1D]) -> PiecewiseFunction1D:
@@ -363,6 +347,39 @@ def sweep_constant(run, lo: float, hi: float) -> PiecewiseFunction1D:
     found = [p for p in sorted(found) if p[0] < p[1]] or found[:1]
     pieces = [(0.0, v, None) for _, _, v in found]
     return PiecewiseFunction1D(lo, hi, [r for _, r, _ in found[:-1]], pieces)
+
+
+def sweep_linear(solve, lo: float, hi: float) -> PiecewiseFunction1D:
+    """Upper envelope of the lines ``solve`` returns over ``[lo, hi]``.
+
+    Eisner–Severance ray search: ``solve(x)`` returns ``(slope, intercept, tag)``
+    of a line attaining the max at ``x``.  The kernel solves at both ends, then at
+    the crossing of each interval's end lines: a line above that crossing by more
+    than 1e-9 splits the interval, otherwise the crossing is a breakpoint.  At
+    most 2 * pieces + 1 calls to ``solve``.
+    """
+    lo, hi = float(lo), float(hi)
+    found, todo = [], [(lo, hi, solve(lo), solve(hi))]
+    while todo:
+        a, b, left, right = todo.pop()
+        (s_l, c_l, _), (s_r, c_r, _) = left, right
+        if s_l == s_r:
+            # one line, or parallel lines: the higher one holds the interval
+            found.append((a, b, left if c_l >= c_r else right))
+            continue
+        x = (c_l - c_r) / (s_r - s_l)
+        if not (a + 1e-12 < x < b - 1e-12):
+            # the end lines cross at (or past) an end: the one higher midway holds it
+            m = 0.5 * (a + b)
+            found.append((a, b, left if s_l * m + c_l >= s_r * m + c_r else right))
+            continue
+        mid = solve(x)
+        if mid[0] * x + mid[1] > s_l * x + c_l + 1e-9:
+            todo += [(x, b, mid, right), (a, x, left, mid)]
+        else:
+            found += [(a, x, left), (x, b, right)]
+    found.sort(key=lambda f: f[0])
+    return PiecewiseFunction1D(lo, hi, [f[0] for f in found[1:]], [f[2] for f in found])
 
 
 def refine_constant(

@@ -14,7 +14,8 @@ float operations of the cell-by-cell recurrence, so scores and ties match it
 exactly.  On the one-dimensional
 indel slice (rho1 = rho3 = 0) the optimal objective is the upper envelope of
 one line per reachable alignment, and ``indel_breakpoints`` computes that
-envelope exactly by recursive parametric search.
+envelope exactly with ``piecewise.sweep_linear`` (Eisner–Severance ray
+search).
 
 ``gen_lb_sequences`` builds the sequence-pair family whose thresholded
 utilities realize every sign pattern, the worst case for this family.
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence as Seq
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction1D, refine_constant
+from .piecewise import PiecewiseFunction1D, refine_constant, sweep_linear
 
 GAP = "-"
 
@@ -515,9 +516,9 @@ def indel_breakpoints(
     """Exact optimal-objective envelope over the indel penalty in [0, rho_max].
 
     Each alignment contributes the line ``matches - rho * indels``; the
-    optimum is their upper envelope, found by solving at interval endpoints
-    and recursing on the endpoint lines' intersection.  Breakpoints are exact
-    ratios of integer feature counts.
+    optimum is their upper envelope, found by ``sweep_linear`` with one
+    alignment per call.  Breakpoints are exact ratios of integer feature
+    counts.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
@@ -526,40 +527,9 @@ def indel_breakpoints(
 
     def solve(rho):
         aln, f, _ = affine_align(s1, s2, AffineParams(0.0, rho, 0.0))
-        return f.matches, f.indels, aln
+        return -float(f.indels), float(f.matches), _traceback_tag(aln)
 
-    segments: list[tuple[float, float, int, int, int]] = []  # lo, hi, mt, id, tag
-
-    def rec(lo, hi, left, right):
-        mt_l, id_l, aln_l = left
-        mt_r, id_r, aln_r = right
-        if (mt_l, id_l) == (mt_r, id_r):
-            segments.append((lo, hi, mt_l, id_l, _traceback_tag(aln_l)))
-            return
-        if id_l == id_r:
-            # parallel distinct lines: the higher one dominates the interval
-            keep = left if mt_l >= mt_r else right
-            segments.append((lo, hi, keep[0], keep[1], _traceback_tag(keep[2])))
-            return
-        x = (mt_l - mt_r) / (id_l - id_r)
-        if not (lo + 1e-12 < x < hi - 1e-12):
-            keep = left if (mt_l - 0.5 * (lo + hi) * id_l) >= (mt_r - 0.5 * (lo + hi) * id_r) else right
-            segments.append((lo, hi, keep[0], keep[1], _traceback_tag(keep[2])))
-            return
-        mid = solve(x)
-        cross = mt_l - x * id_l
-        if mid[0] - x * mid[1] > cross + 1e-9:
-            rec(lo, x, left, mid)
-            rec(x, hi, mid, right)
-        else:
-            segments.append((lo, x, mt_l, id_l, _traceback_tag(aln_l)))
-            segments.append((x, hi, mt_r, id_r, _traceback_tag(aln_r)))
-
-    rec(0.0, float(rho_max), solve(0.0), solve(float(rho_max)))
-    segments.sort(key=lambda s: s[0])
-    bps = [s[0] for s in segments[1:]]
-    pieces = [(-float(idl), float(mt), tag) for (_, _, mt, idl, tag) in segments]
-    return PiecewiseFunction1D(0.0, float(rho_max), bps, pieces)
+    return sweep_linear(solve, 0.0, rho_max)
 
 
 def utility_breakpoints(

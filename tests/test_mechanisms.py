@@ -207,6 +207,17 @@ def test_ingest_jester_count_column_autodetect():
     assert table.matrix.shape == (2, 2)
 
 
+def test_ingest_jester_reads_text_not_paths():
+    # a file name is CSV text with one non-numeric row: a header and no data
+    with pytest.raises(ValueError, match="no data rows"):
+        ingest_jester("ratings.csv", "to_unit")
+
+
+def test_ingest_jester_header_without_data():
+    with pytest.raises(ValueError, match="no data rows"):
+        ingest_jester("count,joke1,joke2\n", "to_unit")
+
+
 def test_joke_pair_alignment():
     table = ingest_jester("10,99\n-10,5\n0,0\n", "to_centered", has_count_column=False)
     pairs = table.joke_pair(0, 1)
