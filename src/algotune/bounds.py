@@ -124,8 +124,7 @@ def exp_sum_roots(
 
     Sign scan on a grid of resolution (hi-lo)/(64*t) followed by bisection.
     The count is capped at t = len(terms) (Rolle-type bound for exponential
-    sums); tangential roots invisible to the scan can be missed, which is why
-    downstream users re-verify pieces by sampling.
+    sums); tangential roots invisible to the scan can be missed.
     """
     t = len(terms)
     if lo >= hi or tol <= 0:

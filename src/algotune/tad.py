@@ -4,8 +4,11 @@ The per-interval weight c_ij (block sum minus the mean over all same-length
 diagonal blocks) is independent of the exponent parameter, so the objective
 for a TAD set is sum c_ij / (j-i)^rho and the optimizer is a weighted-interval
 scheduling DP.  The parameter decomposition is numerical: optimal sets change
-where exponential sums cross zero, and those crossings are isolated by
-sign-scan root finding to a caller-supplied tolerance.
+where exponential sums cross zero.  ``rho_decomposition`` finds those
+crossings with one explicit-stack sweep, the ray search of
+``piecewise.sweep_linear`` with line crossings replaced by sign-scan roots
+isolated to a thousandth of the caller's tolerance, and approximates each
+region's objective by chords within that tolerance.
 """
 
 from __future__ import annotations
@@ -183,20 +186,29 @@ def rho_decomposition(
 ) -> TadDecomposition:
     """Parameter decomposition of the optimal TAD objective on [0, rho_hi].
 
-    Recursive parametric search: optimize at interval endpoints; where the
-    optimal sets differ, isolate sign changes of their objective difference
-    (an exponential sum) within ``tol`` and recurse.  Within a piece the
-    smooth objective is approximated by chords, subdividing until sampled
-    deviation is below ``tol``, so piece values track the true optimum and
-    adjacent pieces agree at breakpoints.
+    Explicit-stack sweep in the shape of ``piecewise.sweep_linear``; each
+    interval carries the optimal sets at its ends.  Where they agree, one mid
+    probe guards against a third set winning strictly inside.  Where they
+    differ, the roots of their objective difference (an exponential sum) are
+    isolated to ``max(tol * 1e-3, 1e-13)``, the x-precision that keeps values
+    within ``tol`` beside a breakpoint; the optimum is probed at each interior
+    root and the sub-intervals are searched in turn.  With no interior root
+    the sets cross at an end, and the set higher at the midpoint holds the
+    interval.  Each region's objective is approximated by chords, halved until
+    they match it within ``tol`` at 1/4, 1/2 and 3/4; ``ValueError`` when
+    ``tol`` is finer than 40 halvings (or a width of 1e-12) can resolve.
+    ``cap_warning`` is set when ``exp_sum_roots`` hit its root-count cap.
     """
-    if rho_hi <= 0 or tol <= 0:
-        raise ValueError("need rho_hi > 0 and tol > 0")
+    if not (math.isfinite(rho_hi) and rho_hi > 0):
+        raise ValueError(f"rho_hi must be positive and finite, got {rho_hi!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     sets: list[TadSet] = []
     set_index: dict[TadSet, int] = {}
     segments: list[tuple[float, float, float, float, int]] = []  # lo, hi, g(lo), g(hi), tag
     warned = False
+    res = max(tol * 1e-3, 1e-13)
 
     def tag_of(t: TadSet) -> int:
         if t not in set_index:
@@ -206,57 +218,47 @@ def rho_decomposition(
 
     def emit_chords(lo, hi, t: TadSet, vlo, vhi, depth):
         # subdivide until the chord matches the true objective at 1/4, 1/2, 3/4
-        if hi - lo > 1e-12 and depth < 40:
-            slope = (vhi - vlo) / (hi - lo)
-            for frac in (0.25, 0.5, 0.75):
-                x = lo + frac * (hi - lo)
-                truth = tad_objective(w, t, x)
-                if abs(vlo + slope * (x - lo) - truth) > tol:
-                    mid = 0.5 * (lo + hi)
-                    vm = tad_objective(w, t, mid)
-                    emit_chords(lo, mid, t, vlo, vm, depth + 1)
-                    emit_chords(mid, hi, t, vm, vhi, depth + 1)
-                    return
+        slope = (vhi - vlo) / (hi - lo)
+        for frac in (0.25, 0.5, 0.75):
+            x = lo + frac * (hi - lo)
+            if abs(vlo + slope * (x - lo) - tad_objective(w, t, x)) > tol:
+                if hi - lo <= 1e-12 or depth >= 40:
+                    raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the "
+                                     f"chord on [{lo!r}, {hi!r}] is still off by more than tol")
+                mid = 0.5 * (lo + hi)
+                vm = tad_objective(w, t, mid)
+                emit_chords(lo, mid, t, vlo, vm, depth + 1)
+                emit_chords(mid, hi, t, vm, vhi, depth + 1)
+                return
         segments.append((lo, hi, vlo, vhi, tag_of(t)))
 
-    def rec(lo, hi, t_lo, t_hi, depth):
-        nonlocal warned
-        if hi - lo <= max(tol * 1e-3, 1e-13) or depth >= 60:
-            if depth >= 60:
-                warned = True
-            emit_chords(lo, hi, t_lo, tad_objective(w, t_lo, lo), tad_objective(w, t_lo, hi), 0)
-            return
-        if t_lo == t_hi:
-            # guard against a different set winning strictly inside (the
-            # difference may cross zero twice); one mid probe catches it
-            mid = 0.5 * (lo + hi)
+    rho_hi = float(rho_hi)
+    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x, min_length)[0] for x in (0.0, rho_hi))]
+    while todo:
+        a, b, t_a, t_b = todo.pop()
+        mid = 0.5 * (a + b)
+        if t_a == t_b:
+            # the difference to another set may cross zero twice inside
             t_mid, v_mid = tad_optimize(w, mid, min_length)
-            if t_mid != t_lo and v_mid > tad_objective(w, t_lo, mid) + max(tol * 1e-3, 1e-12):
-                rec(lo, mid, t_lo, t_mid, depth + 1)
-                rec(mid, hi, t_mid, t_hi, depth + 1)
-                return
-            emit_chords(lo, hi, t_lo, tad_objective(w, t_lo, lo), tad_objective(w, t_lo, hi), 0)
-            return
-        in_lo = set(t_lo.intervals)
-        in_hi = set(t_hi.intervals)
-        terms = [(w.c[i][j], float(j - i)) for i, j in in_lo - in_hi]
-        terms += [(-w.c[i][j], float(j - i)) for i, j in in_hi - in_lo]
-        roots, cap = exp_sum_roots(terms, lo, hi, tol, with_cap_flag=True)
-        warned = warned or cap
-        margin = max(tol, (hi - lo) * 1e-9)
-        roots = [r for r in roots if lo + margin < r < hi - margin]
-        if not roots:
-            cuts = [0.5 * (lo + hi)]
+            if t_mid != t_a and v_mid > tad_objective(w, t_a, mid) + max(tol * 1e-3, 1e-12):
+                todo += [(mid, b, t_mid, t_b), (a, mid, t_a, t_mid)]
+                continue
         else:
-            cuts = roots
-        edges = [lo] + cuts + [hi]
-        opts = [t_lo] + [tad_optimize(w, x, min_length)[0] for x in cuts] + [t_hi]
-        for (a, b), (ta, tb) in zip(zip(edges, edges[1:]), zip(opts, opts[1:])):
-            rec(a, b, ta, tb, depth + 1)
-
-    t0 = tad_optimize(w, 0.0, min_length)[0]
-    t1 = tad_optimize(w, float(rho_hi), min_length)[0]
-    rec(0.0, float(rho_hi), t0, t1, 0)
+            in_a, in_b = set(t_a.intervals), set(t_b.intervals)
+            terms = [(w.c[i][j], float(j - i)) for i, j in in_a - in_b]
+            terms += [(-w.c[i][j], float(j - i)) for i, j in in_b - in_a]
+            roots, cap = exp_sum_roots(terms, a, b, res, with_cap_flag=True)
+            warned = warned or cap
+            roots = [r for r in roots if a + res < r < b - res]
+            if roots:
+                edges = [a] + roots + [b]
+                opts = [t_a] + [tad_optimize(w, x, min_length)[0] for x in roots] + [t_b]
+                todo += reversed(list(zip(edges, edges[1:], opts, opts[1:])))
+                continue
+            # the sets cross at an end: the one higher at the midpoint holds it
+            if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
+                t_a = t_b
+        emit_chords(a, b, t_a, tad_objective(w, t_a, a), tad_objective(w, t_a, b), 0)
 
     segments.sort(key=lambda s: s[0])
     bps = [s[0] for s in segments[1:]]
@@ -264,5 +266,5 @@ def rho_decomposition(
     for lo, hi, vlo, vhi, tag in segments:
         slope = (vhi - vlo) / (hi - lo)
         pieces.append((slope, vlo - slope * lo, tag))
-    fn = PiecewiseFunction1D(0.0, float(rho_hi), bps, pieces)
+    fn = PiecewiseFunction1D(0.0, rho_hi, bps, pieces)
     return TadDecomposition(fn, sets, warned)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,31 @@ def test_tad_run_and_decompose(tmp_path, capsys):
     )
     assert code == 0
     assert "tad_sets" in json.loads(out)
+
+
+def test_tad_decompose_rejects_non_finite_inputs(tmp_path, capsys):
+    path = tmp_path / "contacts.csv"
+    path.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    for flag, value, name in (
+        ("--tolerance", "nan", "tol"),
+        ("--tolerance", "inf", "tol"),
+        ("--rho-max", "inf", "rho_hi"),
+    ):
+        code, out, err = run_cli(capsys, "tad", "decompose", "--matrix", str(path), flag, value)
+        assert code == 2 and out == "", (flag, value)
+        assert f"{name} must be positive and finite, got {value}" in err
+
+
+def test_tad_decompose_tolerance_below_the_chord_fit_exits_2(capsys):
+    # 14 x 14 planted-domain matrix: the first TAD input of the benchmark's dp_tune, seed 1
+    path = os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "tad", "decompose", "--matrix", path, "--tolerance", "1e-300"
+    )
+    assert code == 2 and out == ""
+    assert "tol=1e-300 is below what the chord fit can resolve" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_greedy_knapsack_and_mwis(tmp_path, capsys):
