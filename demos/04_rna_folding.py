@@ -3,7 +3,10 @@
 The objective  rho*|pairs| + (1-rho)*stacking  interpolates between "as many
 pairs as possible" (rho=1) and "only well-stacked helices" (rho=0).  Because
 the best folding at each pair count is fixed, the whole sweep collapses to an
-upper envelope with at most n/2 + 1 pieces.
+upper envelope with at most n/2 + 1 pieces.  ``rho_breakpoints`` finds it by
+running the folding DP at O(pieces) values of rho; the per-size table printed
+first comes from the separate size-indexed DP ``max_stack_by_size`` and shows
+the lines the envelope is drawn from, including sizes that never win.
 """
 
 from algotune.rnafold import (

@@ -9,6 +9,7 @@ against a witness vector.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -186,6 +187,16 @@ class ShatteringCertificate:
     @property
     def shattered(self) -> bool:
         return len(self.achieved_patterns) == 2**self.n_instances
+
+    def first_missing(self) -> tuple[int, ...] | None:
+        """Smallest sign pattern (as a bit tuple) no candidate realizes, or None.
+
+        At most ``len(achieved_patterns) + 1`` patterns are looked at.
+        """
+        for pattern in itertools.product((0, 1), repeat=self.n_instances):
+            if pattern not in self.achieved_patterns:
+                return pattern
+        return None
 
     def to_dict(self) -> dict:
         return {

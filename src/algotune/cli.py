@@ -67,6 +67,16 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _shattered_or_3(cert: bounds.ShatteringCertificate) -> int:
+    """Exit code of a lower-bound check; a failure names its first missing pattern on stderr."""
+    if cert.shattered:
+        return 0
+    bits = "".join(map(str, cert.first_missing()))
+    print(f"not shattered: no candidate realizes sign pattern {bits} "
+          "(bit i is 1 when dual i >= witness i)", file=sys.stderr)
+    return 3
+
+
 # -- alignment -----------------------------------------------------------------
 
 
@@ -79,7 +89,7 @@ def _cmd_align(args) -> int:
             f"shattered={'true' if cert.shattered else 'false'} "
             f"patterns={len(cert.achieved_patterns)}"
         )
-        return 0 if cert.shattered else 3
+        return _shattered_or_3(cert)
     seqs = seqalign.sequences_from_fasta(_read(args.input))
     if len(seqs) < 2:
         raise ValueError("need two sequences")
@@ -238,7 +248,7 @@ def _cmd_mech(args) -> int:
         ]
         cert = bounds.verify_shattering(duals, witnesses, params)
         print(json.dumps(cert.to_dict()))
-        return 0 if cert.shattered else 3
+        return _shattered_or_3(cert)
     if args.mechanism == "nam":
         values = np.loadtxt(args.values, delimiter=",", ndmin=2)
         weights = tuple(float(x) for x in args.weights.split(","))

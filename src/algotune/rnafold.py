@@ -2,10 +2,24 @@
 
 The folding DP maximizes ``rho * |pairs| + (1 - rho) * stacking`` where the
 stacking credit of a pair (i, j) is paid only when the enclosing pair
-(i-1, j+1) is also present.  Per pair count k, the best achievable stacking
-score is computed by a size-indexed DP; the optimal objective over rho in
-[0, 1] is then the upper envelope of one line per achievable k, which caps
-the number of envelope pieces at n/2 + 1.
+(i-1, j+1) is also present.  A folding with k pairs and stacking score S
+scores the line ``S + rho * (k - S)``, so the optimal objective over rho in
+[0, 1] is the upper envelope of one line per achievable k (the best S for
+that k), which caps the number of envelope pieces at n/2 + 1.
+
+One DP serves both readers.  ``_Tables`` fills the best / notp / paired
+tables span by span with numpy, every cell of a span at once, and keeps
+value, pair count, a tie-break key and backpointers.  ``fold`` runs it once
+and reads the folding back by traceback; ``rho_breakpoints`` is one
+``piecewise.sweep_linear`` whose solver runs it at a rho and reads the
+optimum's (pairs, stacking) at the root cell, at most 2 * pieces + 1 times.
+
+``max_stack_by_size``, the older size-indexed DP (O(n^3 * K^2) on dicts),
+is no longer on the decompose path; it stays public as an independent
+per-size table (demo 04 prints it, the tests check the kernel's lines
+against it).  ``upper_envelope`` is still imported here because the
+benchmark tracer (``bench/tracer.py``) wraps ``rnafold.upper_envelope`` and
+``rnafold.max_stack_by_size`` by name; both go when the tracer drops them.
 
 Base pairs keep one unpaired base between their ends (j >= i + 2), the
 smallest separation consistent with binding of non-adjacent bases.
@@ -19,7 +33,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .piecewise import Line1D, PiecewiseFunction1D, refine_constant, upper_envelope
+import numpy as np
+
+from .piecewise import (  # noqa: F401  (upper_envelope: see the module docstring)
+    Line1D,
+    PiecewiseFunction1D,
+    refine_constant,
+    sweep_linear,
+    upper_envelope,
+)
 
 BASES = ("A", "U", "C", "G")
 
@@ -143,70 +165,208 @@ def fold_objective(s: RnaSequence, phi: Folding, rho: float, m: StackScores) -> 
     return rho * len(phi) + (1.0 - rho) * stacking_score(s, phi, m)
 
 
-def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:
-    """Optimal folding for one rho in [0, 1].
+class _Tables:
+    """The span-vectorized folding DP at one rho.
 
-    Interval DP with best / best-given-endpoints-paired tables so that
-    stacking credit lands exactly when adjacent nesting occurs.  Among
-    co-optimal foldings the DP prefers fewer pairs, then the
-    lexicographically smallest pair tuple (applied at every cell).
+    Cells are 0-based (i, j = i + d).  For each span d every cell is filled at
+    once: first ``paired`` (i and j pair with each other), then ``notp`` (they
+    do not), then ``best``.  ``best`` and ``notp`` are stored by start index and
+    span, ``paired`` by end index and span, so the split candidates
+    best(i, t - 1) + paired(t, j) of all cells of one span are the two plain
+    slices ``best[:, :d - 2]`` and ``paired[d:, d - 1:1:-1]``.  Every cell does
+    the float operations of the scalar recurrence in the same order
+    (``v + rho``, ``pv + stackf * credit``, ``lv + rv``), so values are those of
+    the textbook loop bit for bit.
+
+    Each table is one (3, n, n) array of layers value, pair count and a third
+    key (counts are exact in float64), so one numpy call moves all three; a
+    backpointer array goes with it: ``pb`` true when the inner pair (i+1, j-1)
+    is paired, ``nb`` the split offset t - i (0 when j is unpaired), ``bb``
+    true when ``best`` is ``paired``.  A cell takes the candidate of highest
+    value, then by pair count, then by the third key:
+
+    * ``lex`` (the rule of ``fold``): fewest pairs, then the lexicographically
+      smallest pair tuple.  The third key is minus the partner of the cell's
+      first base (-n when it is unpaired): a tuple whose first base pairs
+      sooner is smaller.  Where that still ties (only between splits of
+      ``notp``), the rows are kept in ``ties`` for ``pairs`` to settle.
+    * otherwise (the rule of ``rho_breakpoints``): most pairs, then most
+      stacking, the third key.  At a tie in value the steeper line wins, as in
+      ``upper_envelope``.
+
+    Value, pair count and stacking all add over the parts of a folding, and
+    the tuple order compares the parts left to right, so a choice made per
+    cell is the choice at the root.
+    """
+
+    def __init__(self, credits: np.ndarray, rho: float, lex: bool):
+        n = len(credits)
+        self.lex = lex
+        self.memo: dict[tuple, tuple] = {}
+        self.ties: dict[int, dict] = {}
+        stackf = 1.0 - rho
+        self.best, self.notp, self.paired = (np.zeros((3, n, n)) for _ in range(3))
+        if lex:
+            for table in (self.best, self.notp, self.paired):
+                table[2] = -n
+        self.bb, self.pb = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+        self.nb = np.zeros((n, n), dtype=np.int32)
+        B, N, P = self.best, self.notp, self.paired
+        for d in range(MIN_SEP, n):
+            r = n - d
+            # paired(i, j): inner notp(i+1, j-1), or the stacked inner pair
+            cand = N[:, 1 : r + 1, d - 2]
+            if d - 2 >= MIN_SEP:
+                credit = credits[:r, d]
+                stacked = P[:, d - 1 : n - 1, d - 2].copy()
+                stacked[0] += stackf * credit
+                if not lex:
+                    stacked[2] += credit
+                cand, self.pb[d:, d] = self._pick2(cand, stacked)
+            P[:, d:, d] = cand
+            P[0, d:, d] += rho
+            P[1, d:, d] += 1
+            if lex:
+                P[2, d:, d] = -np.arange(d, n)
+            # notp(i, j): j unpaired, or j paired with t for t in i+1 .. j-2
+            if d == MIN_SEP:
+                N[:, :r, d] = B[:, :r, d - 1]
+            else:
+                right = P[:, d:, d - 1 : 1 : -1]
+                N[:, :r, d], self.nb[:r, d] = self._pick_split(d, B[:, :r], right)
+            # best(i, j): notp or paired
+            B[:, :r, d], self.bb[:r, d] = self._pick2(N[:, :r, d], P[:, d:, d])
+
+    def _pick2(self, first, second):
+        """Per row, the winner of two (3, rows) candidates, and where ``second`` wins."""
+        (v1, c1, a1), (v2, c2, a2) = first, second
+        better_count = c2 < c1 if self.lex else c2 > c1
+        wins = (v2 > v1) | ((v2 == v1) & (better_count | ((c2 == c1) & (a2 > a1))))
+        return np.where(wins, second, first), wins
+
+    def _pick_split(self, d, left, right):
+        """notp at span d, from best by start (``left``) and paired(t, j) for t = j-1 .. i+1.
+
+        Column 0 is best(i, j-1) (j unpaired), column t - i adds best(i, t-1)
+        and paired(t, j), left + right; under ``lex`` the third key is the
+        left part's alone.  Rows whose candidates still tie under ``lex`` are
+        kept in ``ties[d]``.
+        """
+        r = left.shape[1]
+        block = np.empty((3, r, d - 1))
+        block[:, :, 0] = left[:, :, d - 1]
+        np.add(left[:, :, : d - 2], right, out=block[:, :, 1:])
+        if self.lex:
+            block[2, :, 1:] = left[2, :, : d - 2]
+        v, c, a = block
+        top = np.empty((3, r))
+        top[0] = v.max(axis=1)
+        tie = v == top[0, :, None]
+        if self.lex:
+            top[1] = np.where(tie, c, np.inf).min(axis=1)
+        else:
+            top[1] = np.where(tie, c, -np.inf).max(axis=1)
+        tie &= c == top[1, :, None]
+        top[2] = np.where(tie, a, -np.inf).max(axis=1)
+        tie &= a == top[2, :, None]
+        if self.lex:
+            rows = np.flatnonzero(tie.sum(axis=1) > 1)
+            if len(rows):
+                self.ties[d] = dict(zip(rows.tolist(), tie[rows]))
+        return top, tie.argmax(axis=1)
+
+    def _options(self, cell):
+        """(leading pairs, sub-cells) of each folding ``cell`` may take.
+
+        One option unless a ``notp`` cell is in ``ties``; the pair tuple of an
+        option is the concatenation of its parts, in sorted order.
+        """
+        kind, x, d = cell
+        if kind == "p":  # stored by its end x
+            i = x - d
+            inner = ("p", x - 1, d - 2) if self.pb[x, d] else ("n", i + 1, d - 2)
+            return [(((i + 1, x + 1),), (inner,))]
+        if kind == "b":
+            return [((), (("p", x + d, d) if self.bb[x, d] else ("n", x, d),))]
+        tied = self.ties.get(d, {}).get(x)
+        cols = [int(self.nb[x, d])] if tied is None else np.flatnonzero(tied).tolist()
+        return [((), (("b", x, k - 1), ("p", x + d, d - k)) if k else
+                 (("b", x, d - 1),) if d else ()) for k in cols]
+
+    def pairs(self, cell) -> tuple:
+        """Sorted 1-based pair tuple of a cell's folding, built once per cell.
+
+        Where the splits of a ``notp`` cell tie on all three keys, the
+        smallest of the options' tuples wins, as the cell-by-cell rule has it.
+        """
+        memo, todo = self.memo, [cell]
+        while todo:
+            top = todo[-1]
+            if top in memo:
+                todo.pop()
+                continue
+            options = self._options(top)
+            missing = [sub for _, subs in options for sub in subs if sub not in memo]
+            if missing:
+                todo += missing
+                continue
+            memo[todo.pop()] = min(
+                head + sum((memo[sub] for sub in subs), ()) for head, subs in options)
+        return memo[cell]
+
+
+def _credits(s: RnaSequence, m: StackScores) -> np.ndarray:
+    """credits[i, d]: stacking credit of the pair (i+1, i+d-1) inside (i, i+d), 0-based."""
+    n = len(s)
+    table = np.zeros((4, 4, 4, 4))
+    code = {b: k for k, b in enumerate(BASES)}
+    for key, score in m.table.items():
+        if len(key) == 4 and all(b in code for b in key):
+            table[tuple(code[b] for b in key)] = score
+    c = np.array([code[b] for b in s.bases], dtype=np.int64)
+    credits = np.zeros((n, n))
+    for d in range(MIN_SEP, n):
+        credits[: n - d, d] = table[c[1 : n - d + 1], c[d - 1 : n - 1], c[: n - d], c[d:]]
+    return credits
+
+
+def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:
+    """Optimal folding for one rho in [0, 1], with its objective.
+
+    Interval DP with best / notp / paired tables so that stacking credit
+    lands exactly when adjacent nesting occurs, run span by span in numpy
+    (``_Tables``) and read back by traceback.  Each cell does the float
+    operations of the scalar loop in its order, so the objective is the same
+    double.  Among co-optimal foldings the DP prefers fewer pairs, then the
+    lexicographically smallest sorted pair tuple, applied at every cell:
+
+    * pair count and value are compared in the tables;
+    * two tuples of one interval first differ where one pairs the interval's
+      first base sooner, so minus that partner is a third table key; this
+      settles every ``paired`` and ``best`` choice;
+    * splits of ``notp`` that tie on all three are settled at traceback by
+      comparing the options' pair tuples, built (once per cell) only for the
+      cells the traceback reaches.
+
+    The pair tuple of a split is the tuple of its left part followed by the
+    right part's, so comparing options this way is the cell-by-cell rule.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     n = len(s)
     if n < 1:
         raise ValueError("sequence must be nonempty")
-    stackf = 1.0 - rho
-
-    empty = (0.0, ())
-
-    def pick(cands):
-        # maximize value; then fewest pairs; then lexicographically smallest
-        return min(cands, key=lambda c: (-c[0], len(c[1]), c[1]))
-
-    # paired[(i, j)]: (i, j) in phi; value includes rho for (i, j) and all
-    # interior credits but not (i, j)'s own credit (owned by the enclosing pair).
-    paired: dict[tuple[int, int], tuple[float, tuple]] = {}
-    notp: dict[tuple[int, int], tuple[float, tuple]] = {}
-    best: dict[tuple[int, int], tuple[float, tuple]] = {}
-
-    def get_best(i, j):
-        return best[(i, j)] if i <= j else empty
-
-    for span in range(0, n):
-        for i in range(1, n - span + 1):
-            j = i + span
-            if span >= MIN_SEP:
-                inner: list[tuple[float, tuple]] = []
-                iv, ip = notp[(i + 1, j - 1)] if span - 2 >= 0 else empty
-                inner.append((iv, ip))
-                if span - 2 >= MIN_SEP:
-                    pv, pp = paired[(i + 1, j - 1)]
-                    credit = stackf * m.get(s[i], s[j - 2], s[i - 1], s[j - 1])
-                    inner.append((pv + credit, pp))
-                v, ps = pick(inner)
-                paired[(i, j)] = (v + rho, tuple(sorted(ps + ((i, j),))))
-
-            cands = [get_best(i, j - 1)]  # j unpaired
-            for t in range(i + 1, j - MIN_SEP + 1):
-                lv, lp = get_best(i, t - 1)
-                rv, rp = paired[(t, j)]
-                cands.append((lv + rv, tuple(sorted(lp + rp))))
-            notp[(i, j)] = pick(cands)
-            if (i, j) in paired:
-                best[(i, j)] = pick([notp[(i, j)], paired[(i, j)]])
-            else:
-                best[(i, j)] = notp[(i, j)]
-
-    value, pairs = best[(1, n)]
-    return Folding(pairs), value
+    t = _Tables(_credits(s, m), rho, lex=True)
+    return Folding(t.pairs(("b", 0, n - 1))), float(t.best[0, 0, n - 1])
 
 
 def max_stack_by_size(s: RnaSequence, m: StackScores) -> list[tuple[int, float]]:
     """For each achievable pair count k, the maximum stacking score over foldings.
 
     Size-indexed variant of the folding DP; unreachable k are omitted and
-    k = 0 always yields stacking 0.
+    k = 0 always yields stacking 0.  ``rho_breakpoints`` does not use it: it
+    needs only the k that win somewhere, and finds them with O(pieces) runs
+    of the folding DP.  Kept as an independent check of those lines.
     """
     n = len(s)
     if n < 1:
@@ -261,13 +421,27 @@ def rho_breakpoints(s: RnaSequence, m: StackScores) -> PiecewiseFunction1D:
     """Exact envelope of the folding objective over rho in [0, 1].
 
     One line per achievable pair count k: slope k - stack_k, intercept
-    stack_k, tag k.  Piece count is at most floor(n/2) + 1.
+    stack_k, tag k, where stack_k is the best stacking score with k pairs.
+    Piece count is at most floor(n/2) + 1.  The envelope is one
+    ``sweep_linear`` whose solver runs the folding DP at one rho and reads
+    the optimum's (pairs, stacking) at the root cell; no traceback.  Among
+    foldings of equal value the DP keeps the most pairs (the steeper line,
+    which ``upper_envelope`` also picks at a tie) and then the most stacking
+    (at rho = 1, where every folding with k pairs scores k, that is the k
+    line itself).  At most 2 * pieces + 1 DP runs, all on one credit table.
     """
-    lines = [
-        Line1D(slope=k - stack, intercept=stack, tag=k)
-        for k, stack in max_stack_by_size(s, m)
-    ]
-    return upper_envelope(lines, 0.0, 1.0)
+    if len(s) < 1:
+        raise ValueError("sequence must be nonempty")
+    credits = _credits(s, m)
+    n = len(s)
+
+    def solve(rho):
+        t = _Tables(credits, rho, lex=False)
+        k, stack = int(t.best[1, 0, n - 1]), float(t.best[2, 0, n - 1])
+        line = Line1D(slope=k - stack, intercept=stack, tag=k)
+        return line.slope, line.intercept, line.tag
+
+    return sweep_linear(solve, 0.0, 1.0)
 
 
 def pair_utility(candidate: Folding, truth: Folding) -> float:

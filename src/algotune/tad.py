@@ -96,6 +96,19 @@ class TadWeights:
     def weight(self, i: int, j: int, rho: float) -> float:
         return self.c[i][j] / (j - i) ** rho
 
+    def check_rho(self, rho: float) -> None:
+        """Reject rho where the longest span's (n - 1) ** rho leaves the float
+        range; the power is monotone in the span and in rho, so that one decides."""
+        try:
+            ok = float(max(self.n - 1, 1)) ** rho < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"rho={rho!r} is out of range: {self.n - 1} ** rho (from the longest span) "
+                "leaves the float range"
+            )
+
 
 def _block_mean(vals: np.ndarray) -> float:
     # mean of one length class; kept exact when all blocks are equal so that
@@ -138,9 +151,11 @@ def tad_optimize(
 
     Weighted-interval scheduling over positions 1..n; co-optimal ties resolve
     to fewer intervals, then the lexicographically smallest interval tuple.
+    ``ValueError`` when (n - 1) ** rho leaves the float range.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
+    w.check_rho(rho)
     n = w.n
     # state[p]: (value, intervals tuple) best over positions 1..p
     state: list[tuple[float, tuple]] = [(0.0, ())] * (n + 1)
@@ -198,11 +213,14 @@ def rho_decomposition(
     they match it within ``tol`` at 1/4, 1/2 and 3/4; ``ValueError`` when
     ``tol`` is finer than 40 halvings (or a width of 1e-12) can resolve.
     ``cap_warning`` is set when ``exp_sum_roots`` hit its root-count cap.
+    ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
+    weight is then a finite double on the whole domain).
     """
     if not (math.isfinite(rho_hi) and rho_hi > 0):
         raise ValueError(f"rho_hi must be positive and finite, got {rho_hi!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    w.check_rho(rho_hi)
 
     sets: list[TadSet] = []
     set_index: dict[TadSet, int] = {}

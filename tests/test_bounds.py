@@ -157,6 +157,15 @@ def test_verify_shattering_identical_candidates_fail():
     assert len(cert.achieved_patterns) == 1
 
 
+def test_verify_shattering_names_the_first_missing_pattern():
+    # two copies of one dual never split: only 00 and 11 are realized
+    cert = verify_shattering([lambda r: r, lambda r: r], [0.5, 0.5], [0.0, 0.25, 0.75, 1.0])
+    assert cert.achieved_patterns == {(0, 0), (1, 1)}
+    assert cert.first_missing() == (0, 1)
+    shattered = verify_shattering([lambda r: r], [0.5], [0.0, 1.0])
+    assert shattered.first_missing() is None
+
+
 def test_verify_shattering_caps_instances():
     fns = [lambda r: r] * 25
     with pytest.raises(ValueError, match="too large"):

@@ -59,6 +59,26 @@ def test_align_lb_verify(capsys):
     assert "k=3" in out and "N=2" in out
 
 
+def test_lb_verify_failures_name_the_missing_pattern(capsys, monkeypatch):
+    real = algotune.bounds.verify_shattering
+
+    def drop_a_pattern(duals, witnesses, params):
+        cert = real(duals, witnesses, params)
+        cert.achieved_patterns.discard(tuple([0] * (len(duals) - 1) + [1]))
+        return cert
+
+    monkeypatch.setattr(algotune.bounds, "verify_shattering", drop_a_pattern)
+    code, out, err = run_cli(capsys, "align", "lb-verify", "--n", "32")
+    assert code == 3
+    assert out == "k=3 N=2 longest=12 shattered=false patterns=3\n"
+    assert "no candidate realizes sign pattern 01 " in err
+    code, out, err = run_cli(capsys, "mech", "nam-lb-verify", "--n", "6")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["shattered"] is False and payload["patterns_found"] == 2 ** payload["n"] - 1
+    assert "no candidate realizes sign pattern " + "0" * (payload["n"] - 1) + "1 " in err
+
+
 def test_msa_run(tmp_path, capsys):
     fasta = tmp_path / "three.fa"
     fasta.write_text(">a\nACGT\n>b\nACG\n>c\nAACGT\n")
@@ -126,6 +146,20 @@ def test_tad_decompose_tolerance_below_the_chord_fit_exits_2(capsys):
     assert code == 2 and out == ""
     assert "tol=1e-300 is below what the chord fit can resolve" in err
     assert time.perf_counter() - start < 5.0
+
+
+def test_tad_rho_out_of_float_range_exits_2(capsys):
+    # 13 ** rho, the longest span of the 14 x 14 matrix, overflows past rho ~ 276
+    path = os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")
+    for argv, rho in (
+        (("decompose", "--rho-max", "1000"), "1000.0"),
+        (("run", "--rho", "1e300"), "1e+300"),
+    ):
+        code, out, err = run_cli(capsys, "tad", *argv, "--matrix", path)
+        assert code == 2 and out == "", argv
+        assert f"rho={rho} is out of range: 13 ** rho (from the longest span)" in err
+    code, out, _ = run_cli(capsys, "tad", "decompose", "--matrix", path, "--rho-max", "250")
+    assert code == 0 and json.loads(out)["hi"] == 250.0
 
 
 def test_greedy_knapsack_and_mwis(tmp_path, capsys):
