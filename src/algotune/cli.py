@@ -7,6 +7,7 @@ and ``bounds`` print 9 significant digits, ``learn`` CSV 12; CSV uses '.'.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -430,10 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``dispatch``.
+
+    ``parse_args`` leaves the parser unchanged, so one build serves every
+    call; building it at import would move its cost into start-up.
+    """
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

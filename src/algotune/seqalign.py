@@ -5,13 +5,19 @@ The pairwise aligner maximizes
     matches - rho1 * mismatches - rho2 * indels - rho3 * gap_runs
 
 with a three-state (Gotoh) dynamic program, swept one anti-diagonal at a
-time with numpy: it keeps three score diagonals (O(n + m) floats) and a
-traceback of one uint8 per cell, and ``MAX_LEN`` follows from a stated
-traceback budget (see ``affine_align``).  Tie-breaking is fixed globally
-(diagonal, then gap in the second row, then gap in the first row) so the
-output is a deterministic function of the parameters; the sweep does the
-float operations of the cell-by-cell recurrence, so scores and ties match it
-exactly.  On the one-dimensional
+time with numpy over a leading batch axis: ``align_batch`` aligns B pairs
+under one set of penalties in one sweep, padded to the batch's longest
+lengths, and ``affine_align`` is a batch of one.  Padding is exact because a
+cell reads only cells above and to its left, so padded cells never reach a
+pair's own table.  The sweep keeps three score diagonals (O(B * (n + m))
+floats) and a traceback of one uint8 per cell; a batch is cut into chunks
+whose traceback fits a stated budget, from which ``MAX_LEN`` also follows
+(see ``align_batch``).  Tie-breaking is fixed globally (diagonal, then gap
+in the second row, then gap in the first row) so the output is a
+deterministic function of the parameters; the sweep does the float
+operations of the cell-by-cell recurrence, so scores and ties match it
+exactly.  ``progressive_align`` aligns all guide-tree nodes of one height in
+one batch.  On the one-dimensional
 indel slice (rho1 = rho3 = 0) the optimal objective is the upper envelope of
 one line per reachable alignment, and ``indel_breakpoints`` computes that
 envelope exactly with ``piecewise.sweep_linear`` (Eisner–Severance ray
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence as Seq
@@ -37,6 +42,8 @@ from .piecewise import PiecewiseFunction1D, refine_constant, sweep_linear
 GAP = "-"
 
 NEG = float("-inf")
+
+_GAPS = frozenset((GAP,))
 
 
 class Sequence:
@@ -167,96 +174,171 @@ _SUB_ROWS = 64  # diagonals per block of precomputed substitution scores
 def affine_align(
     s1: Sequence, s2: Sequence, p: AffineParams, max_len: int = MAX_LEN
 ) -> tuple[Alignment, AlignmentFeatures, float]:
-    """Optimal affine-gap alignment of two sequences.
+    """Optimal affine-gap alignment of two sequences: ``align_batch`` of one pair.
 
     Deterministic traceback: at equal score prefer the diagonal move, then a
     gap in row 2, then a gap in row 1, both for the final state and for every
     predecessor choice.
 
-    The Gotoh recurrences are swept by anti-diagonals: cell (i, j) reads only
-    diagonals i + j - 1 and i + j - 2, so each diagonal is computed at once
-    from a (target state x D/P/Q predecessor) candidate block, with exactly
-    the float operations of the cell-by-cell recurrence (one max, then add the
-    substitution score; predecessor minus the open or extend penalty).  Scores
-    are therefore bit-identical to a row-by-row loop, and so are ties.  The
-    predecessor is the first candidate equal to the block's max, which is the
-    D > P > Q priority that ``argmax`` would give; two comparisons with the
-    max find it (numpy's ``argmax`` over a length-3 axis costs a call per
-    cell).  The traceback stores, per target state, whether D and whether P
-    fall below the max: 6 bits in one uint8 per cell.
-
-    Memory: three score diagonals (O(n + m) floats), a block of substitution
-    scores for the next ``_SUB_ROWS`` diagonals (O(n) floats), and a
-    traceback of ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes, held skewed so
-    that each diagonal is one contiguous slice.  The default ``max_len`` is
+    Memory: three score diagonals (O(n + m) floats) and a traceback of
+    ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes.  The default ``max_len`` is
     the largest L with ``L * L * TRACEBACK_BYTES_PER_CELL <=
-    TRACEBACK_BUDGET`` (10^8 bytes), i.e. 10,000; lengths are checked before
-    anything is allocated.
+    TRACEBACK_BUDGET`` (10^8 bytes), i.e. 10,000, so one pair always fits the
+    budget; lengths are checked before anything is allocated.
     """
-    n, m = len(s1), len(s2)
-    if n == 0 or m == 0:
-        raise ValueError("sequences must be nonempty")
-    if n > max_len or m > max_len:
-        raise ValueError(f"sequence longer than configured max {max_len}")
+    return align_batch(((s1, s2),), p, max_len)[0]
+
+
+def align_batch(
+    pairs: Seq[tuple[Sequence, Sequence]], p: AffineParams, max_len: int = MAX_LEN
+) -> list[tuple[Alignment, AlignmentFeatures, float]]:
+    """Optimal affine-gap alignments of many sequence pairs under one ``p``.
+
+    Returns ``(alignment, features, objective)`` per pair, in input order,
+    each equal to what the pair would get on its own (same tie-breaks as
+    ``affine_align``).  Every length is checked against ``max_len`` first;
+    then the pairs are cut, in order, into chunks whose traceback
+    ``TRACEBACK_BYTES_PER_CELL * B * N * M`` fits ``TRACEBACK_BUDGET`` (B
+    pairs padded to the chunk's longest N and M; a pair too large on its own
+    forms its own chunk), and each chunk is one ``_sweep``.  The chunks are
+    planned before any table is allocated.
+    """
+    sizes = [(len(s1), len(s2)) for s1, s2 in pairs]
+    for n, m in sizes:
+        if n == 0 or m == 0:
+            raise ValueError("sequences must be nonempty")
+        if n > max_len or m > max_len:
+            raise ValueError(f"sequence longer than configured max {max_len}")
+    cells = TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL
+    cuts = [0]
+    top_n = top_m = 0
+    for k, (n, m) in enumerate(sizes):
+        top_n, top_m = max(top_n, n), max(top_m, m)
+        if k > cuts[-1] and (k - cuts[-1] + 1) * top_n * top_m > cells:
+            cuts.append(k)
+            top_n, top_m = n, m
+    cuts.append(len(sizes))
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        out += _sweep(pairs[lo:hi], p)
+    return out
+
+
+def _sweep(
+    pairs: Seq[tuple[Sequence, Sequence]], p: AffineParams
+) -> list[tuple[Alignment, AlignmentFeatures, float]]:
+    """One anti-diagonal Gotoh sweep over B pairs padded to a common N x M.
+
+    The recurrences are swept by anti-diagonals: cell (i, j) reads only
+    diagonals i + j - 1 and i + j - 2, so each diagonal of every pair is
+    computed at once from a (target state x D/P/Q predecessor x pair x cell)
+    candidate block, with exactly the float operations of the cell-by-cell
+    recurrence (one max, then add the substitution score; predecessor minus
+    the open or extend penalty).  Scores are therefore bit-identical to a
+    row-by-row loop, and so are ties.  The predecessor is the first candidate
+    equal to the block's max, which is the D > P > Q priority that ``argmax``
+    would give; two comparisons with the max find it (numpy's ``argmax`` over
+    a length-3 axis costs a call per cell).  The traceback stores, per target
+    state, whether D and whether P fall below the max: 6 bits in one uint8
+    per cell.
+
+    Padding is exact: a cell reads only cells (i', j') with i' <= i and
+    j' <= j, so the padded cells of a pair (i > n_k or j > m_k) never reach a
+    cell of its own n_k x m_k table.  Each pair's final states are read on its
+    own diagonal n_k + m_k as that diagonal is filled, and its traceback reads
+    only its own cells.
+
+    Memory: three score diagonals (O(B * (N + M)) floats), a block of
+    substitution scores for the next ``_SUB_ROWS`` diagonals (O(B * N)
+    floats), and a traceback of ``TRACEBACK_BYTES_PER_CELL * B * N * M``
+    bytes, held diagonal by diagonal so that each diagonal of all pairs is
+    one contiguous slice.
+    """
+    B = len(pairs)
+    ns = [len(s1) for s1, _ in pairs]
+    ms = [len(s2) for _, s2 in pairs]
+    n, m = max(ns), max(ms)
 
     open_pen = p.rho2 + p.rho3
     ext_pen = p.rho2
     # end gaps: -(open + (k - 1) * ext) for a run of k >= 1 letters
     edge = (-(open_pen + np.arange(max(n, m)) * ext_pen)).tolist()
     codes: dict[str, int] = {}
-    a = np.array([codes.setdefault(c, len(codes)) for c in s1.chars])
-    pad = np.full(n, -1)
-    b = np.concatenate((pad, [codes.setdefault(c, len(codes)) for c in s2.chars], pad))
-    # facing[d - 2, i - 1] is the code of s2[d - i - 1], or -1 off the table
-    facing = np.ndarray((n + m - 1, n), b.dtype, b, n * b.itemsize, (b.itemsize, -b.itemsize))
+    a = np.full((B, n), -2)
+    b = np.full((B, n + m + n), -1)
+    for k, (s1, s2) in enumerate(pairs):
+        a[k, :ns[k]] = [codes.setdefault(c, len(codes)) for c in s1.chars]
+        b[k, n:n + ms[k]] = [codes.setdefault(c, len(codes)) for c in s2.chars]
+    # facing[d - 2, k, i - 1] is the code of pair k's s2[d - i - 1], or -1 off the table
+    facing = np.ndarray((n + m - 1, B, n), b.dtype, b, n * b.itemsize,
+                        (b.itemsize, b.strides[0], -b.itemsize))
     # subtracted from the (D, P, Q) predecessors of P, then of Q
-    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])[:, :, None]
+    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])[:, :, None, None]
 
-    # ring[d % 3, state, i] holds cell (i, d - i); one spare column lets the
-    # P and Q predecessors of a diagonal (offsets i - 1 and i) be one window.
-    ring = np.full((3, 3, n + 2), NEG)
-    ring[0, _D, 0] = 0.0
-    ring[1, _Q, 0] = ring[1, _P, 1] = edge[0]
-    s_slot, s_state, s_cell = ring.strides
-    window = np.ndarray((3, 2, 3, n + 1), ring.dtype, ring, 0, (s_slot, s_cell, s_state, s_cell))
-    cand = np.empty((3, 3, n))  # target state, predecessor state, cell
-    # interior cells (i, j >= 1), diagonal by diagonal, ascending i
-    trace = np.empty(n * m, dtype=np.uint8)
-    starts = [0, 0]  # trace offset of each diagonal's first cell
+    # ring[d % 3, state, k, i] holds cell (i, d - i) of pair k; one spare
+    # column lets the P and Q predecessors of a diagonal (offsets i - 1 and i)
+    # be one window.
+    ring = np.full((3, 3, B, n + 2), NEG)
+    ring[0, _D, :, 0] = 0.0
+    ring[1, _Q, :, 0] = ring[1, _P, :, 1] = edge[0]
+    s_slot, s_state, s_pair, s_cell = ring.strides
+    window = np.ndarray((3, 2, 3, B, n + 1), ring.dtype, ring, 0,
+                        (s_slot, s_cell, s_state, s_pair, s_cell))
+    cand = np.empty((3, 3, B, n))  # target state, predecessor state, pair, cell
+    ends: dict[int, list[int]] = {}
+    for k in range(B):
+        ends.setdefault(ns[k] + ms[k], []).append(k)
+    finals: list = [None] * B  # per pair, its (D, P, Q) scores at cell (n_k, m_k)
+    # interior cells (i, j >= 1), diagonal by diagonal; within one, pair by
+    # pair, ascending i.  Pair k's cell (i, d - i) is trace[base[d] + k * widths[d] + i].
+    trace = np.empty(B * n * m, dtype=np.uint8)
+    base = [0, 0]
+    widths = [0, 0]
     off = 0
     for d in range(2, n + m + 1):
         cur, last = d % 3, (d - 1) % 3
         if d == 3:  # the origin's slot moves on to cell (0, 3)
-            ring[0, _D, 0] = NEG
+            ring[0, _D, :, 0] = NEG
         if d <= m:  # cell (0, d)
-            ring[cur, _Q, 0] = edge[d - 1]
+            ring[cur, _Q, :, 0] = edge[d - 1]
         if d <= n:  # cell (d, 0)
-            ring[cur, _P, d] = edge[d - 1]
+            ring[cur, _P, :, d] = edge[d - 1]
         if (d - 2) % _SUB_ROWS == 0:
             sub = np.where(facing[d - 2:d - 2 + _SUB_ROWS] == a, 1.0, -p.rho1)
             first = d
         lo, hi = max(1, d - m), min(n, d - 1)
         w = hi - lo + 1
-        starts.append(off)
-        c = cand[:, :, :w]
-        c[_D] = ring[(d - 2) % 3, :, lo - 1:hi]
-        np.subtract(window[last, :, :, lo - 1:hi], pen, out=c[1:])
-        best = ring[cur, :, lo:hi + 1]
-        c.max(axis=1, out=best)
+        base.append(off - lo)
+        widths.append(w)
+        c = cand[..., :w]
+        c[_D] = ring[(d - 2) % 3, :, :, lo - 1:hi]
+        np.subtract(window[last, :, :, :, lo - 1:hi], pen, out=c[1:])
+        best = ring[cur, :, :, lo:hi + 1]
+        np.maximum.reduce(c, 1, out=best)
         below = c[:, :2] != best[:, None]
-        trace[off:off + w] = _TRACE_BITS @ below.reshape(6, w)
-        off += w
-        best[_D] += sub[d - first, lo - 1:hi]
-
-    finals = ring[(n + m) % 3, :, n].tolist()
-    state = finals.index(max(finals))  # index() returns the first, i.e. D > P > Q
+        np.matmul(_TRACE_BITS, below.reshape(6, B * w), out=trace[off:off + B * w])
+        off += B * w
+        best[_D] += sub[d - first, :, lo - 1:hi]
+        for k in ends.get(d, ()):
+            finals[k] = ring[cur, :, k, ns[k]].tolist()
 
     cells = memoryview(trace)
+    out = []
+    for k, (s1, s2) in enumerate(pairs):
+        here = base if k == 0 else [o + k * w for o, w in zip(base, widths)]
+        state = finals[k].index(max(finals[k]))  # index() returns the first, i.e. D > P > Q
+        aln = _trace_back(s1, s2, cells, here, state)
+        feats = pairwise_features(aln)
+        out.append((aln, feats, objective(feats, p)))
+    return out
+
+
+def _trace_back(s1: Sequence, s2: Sequence, cells, base: list[int], state: int) -> Alignment:
+    """Follow the stored predecessor bits from cell (n, m) in ``state``."""
     r1, r2 = [], []
-    i, j = n, m
+    i, j = len(s1), len(s2)
     while i > 0 and j > 0:
-        d = i + j
-        bits = cells[starts[d] + i - max(1, d - m)] >> (2 * state)
+        bits = cells[base[i + j] + i] >> (2 * state)
         prev = _D if not bits & 1 else (_P if not bits & 2 else _Q)
         if state == _D:
             r1.append(s1[i - 1])
@@ -277,9 +359,7 @@ def affine_align(
     r2 += [GAP] * i
     r1 += [GAP] * j
     r2 += reversed(s2.chars[:j])
-    aln = Alignment((reversed(r1), reversed(r2)))
-    feats = pairwise_features(aln)
-    return aln, feats, objective(feats, p)
+    return Alignment((reversed(r1), reversed(r2)))
 
 
 def enumerate_alignments(s1: Sequence, s2: Sequence) -> list[Alignment]:
@@ -347,12 +427,11 @@ def q_score(candidate: Alignment, reference: Alignment) -> float:
 
 def consensus(a: Alignment) -> Sequence:
     """Per-column most-frequent non-gap symbol; ties break lexicographically."""
-    chars = []
-    for j in range(a.n_columns):
-        counts = Counter(r[j] for r in a.rows if r[j] != GAP)
-        top = max(counts.values())
-        chars.append(min(c for c, k in counts.items() if k == top))
-    return Sequence(chars, id="consensus")
+    # max() keeps the first of equal counts, and the candidates come sorted
+    return Sequence(
+        (max(sorted(set(col) - _GAPS), key=col.count) for col in zip(*a.rows)),
+        id="consensus",
+    )
 
 
 class GuideTree:
@@ -456,6 +535,13 @@ def progressive_align(
     Bottom-up, each internal node pairwise-aligns its children's consensus
     sequences and stores its own consensus; top-down, gap columns are pushed
     into the children's alignment sequences ("once a gap, always a gap").
+
+    A node's pair depends only on nodes below it, so the internal nodes are
+    grouped by height (1 + the larger child height) and each height is one
+    ``align_batch`` call: a balanced tree over L leaves takes about log2(L)
+    sweeps instead of L - 1, with every pair as ``affine_align`` would give
+    it.  ``align_batch`` splits a height into chunks that fit the traceback
+    budget.
     """
     by_id = {s.id: s for s in seqs}
     labels = tree.leaf_labels()
@@ -464,28 +550,36 @@ def progressive_align(
     if sorted(labels) != sorted(by_id):
         raise ValueError("guide-tree leaves do not match the sequence ids")
 
+    order = [tree.root]  # breadth-first, so every parent comes before its children
+    for node in order:
+        if not node.is_leaf:
+            order += [node.right, node.left]
+
     cons: dict[int, Sequence] = {}
     pair: dict[int, Alignment] = {}
-
-    def up(node):
+    height: dict[int, int] = {}
+    levels: list[list[GuideTree.Node]] = []  # internal nodes by height - 1
+    for node in reversed(order):
         if node.is_leaf:
             cons[id(node)] = by_id[node.label]
-            return
-        up(node.left)
-        up(node.right)
-        aln, _, _ = affine_align(cons[id(node.left)], cons[id(node.right)], p)
-        pair[id(node)] = aln
-        cons[id(node)] = consensus(aln)
-
-    up(tree.root)
+            height[id(node)] = 0
+            continue
+        h = height[id(node)] = 1 + max(height[id(node.left)], height[id(node.right)])
+        if h > len(levels):
+            levels.append([])
+        levels[h - 1].append(node)
+    for level in levels:
+        alns = align_batch([(cons[id(v.left)], cons[id(v.right)]) for v in level], p)
+        for v, (aln, _, _) in zip(level, alns):
+            pair[id(v)] = aln
+            cons[id(v)] = consensus(aln)
 
     sigma: dict[int, tuple[str, ...]] = {id(tree.root): cons[id(tree.root)].chars}
     rows: dict[str, tuple[str, ...]] = {}
-
-    def down(node):
+    for node in order:
         if node.is_leaf:
             rows[node.label] = sigma[id(node)]
-            return
+            continue
         tau1, tau2 = pair[id(node)].rows
         out1, out2 = [], []
         k = 0
@@ -499,10 +593,6 @@ def progressive_align(
                 k += 1
         sigma[id(node.left)] = tuple(out1)
         sigma[id(node.right)] = tuple(out2)
-        down(node.left)
-        down(node.right)
-
-    down(tree.root)
     return Alignment(rows[s.id] for s in seqs)
 
 

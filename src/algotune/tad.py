@@ -234,21 +234,27 @@ def rho_decomposition(
             sets.append(t)
         return set_index[t]
 
-    def emit_chords(lo, hi, t: TadSet, vlo, vhi, depth):
-        # subdivide until the chord matches the true objective at 1/4, 1/2, 3/4
-        slope = (vhi - vlo) / (hi - lo)
-        for frac in (0.25, 0.5, 0.75):
-            x = lo + frac * (hi - lo)
-            if abs(vlo + slope * (x - lo) - tad_objective(w, t, x)) > tol:
-                if hi - lo <= 1e-12 or depth >= 40:
-                    raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the "
-                                     f"chord on [{lo!r}, {hi!r}] is still off by more than tol")
-                mid = 0.5 * (lo + hi)
-                vm = tad_objective(w, t, mid)
-                emit_chords(lo, mid, t, vlo, vm, depth + 1)
-                emit_chords(mid, hi, t, vm, vhi, depth + 1)
-                return
-        segments.append((lo, hi, vlo, vhi, tag_of(t)))
+    def emit_chords(lo, hi, t: TadSet, vlo, vhi):
+        # subdivide until each chord matches the true objective at 1/4, 1/2, 3/4,
+        # left half first.  An explicit stack, not recursion: a nested function
+        # that calls itself is a reference cycle, which would keep ``segments``
+        # alive after return until the cyclic garbage collector runs.
+        stack = [(lo, hi, vlo, vhi, 0)]
+        while stack:
+            lo, hi, vlo, vhi, depth = stack.pop()
+            slope = (vhi - vlo) / (hi - lo)
+            for frac in (0.25, 0.5, 0.75):
+                x = lo + frac * (hi - lo)
+                if abs(vlo + slope * (x - lo) - tad_objective(w, t, x)) > tol:
+                    if hi - lo <= 1e-12 or depth >= 40:
+                        raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the "
+                                         f"chord on [{lo!r}, {hi!r}] is still off by more than tol")
+                    mid = 0.5 * (lo + hi)
+                    vm = tad_objective(w, t, mid)
+                    stack += [(mid, hi, vm, vhi, depth + 1), (lo, mid, vlo, vm, depth + 1)]
+                    break
+            else:
+                segments.append((lo, hi, vlo, vhi, tag_of(t)))
 
     rho_hi = float(rho_hi)
     todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x, min_length)[0] for x in (0.0, rho_hi))]
@@ -276,7 +282,7 @@ def rho_decomposition(
             # the sets cross at an end: the one higher at the midpoint holds it
             if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
                 t_a = t_b
-        emit_chords(a, b, t_a, tad_objective(w, t_a, a), tad_objective(w, t_a, b), 0)
+        emit_chords(a, b, t_a, tad_objective(w, t_a, a), tad_objective(w, t_a, b))
 
     segments.sort(key=lambda s: s[0])
     bps = [s[0] for s in segments[1:]]

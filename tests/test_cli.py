@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import algotune
+from algotune import cli
 from algotune.cli import dispatch
 
 
@@ -309,6 +310,49 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.fa"
     bad.write_text(">only_one\nACGT\n")
     assert dispatch(["align", "run", "--input", str(bad)]) == 2
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
+    """The per-process parser gives what a fresh parser per call gives."""
+    fasta = tmp_path / "pair.fa"
+    fasta.write_text(">x\nACGT\n>y\nAGT\n")
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("(x,y);")
+
+    def session(tag):
+        out = tmp_path / f"{tag}.json"
+        calls = [
+            ["align", "run", "--input", str(fasta), "--rho2", "0.5", "--out", str(out)],
+            ["align", "run", "--input", str(fasta)],
+            ["bounds", "pdim", "--vc", "1"],  # --pdim missing: exit 2
+            ["msa", "run", "--input", str(fasta), "--tree", str(tree), "--rho1", "0.3"],
+            ["align", "decompose", "--input", str(fasta), "--format", "csv"],
+            ["frobnicate"],
+            ["bounds", "oscillation", "--B", "3"],
+        ]
+        seen = []
+        for argv in calls:
+            code = dispatch(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen, out.read_bytes()
+
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    shared = session("shared")
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "_parser", counted)
+    fresh = session("fresh")
+    assert len(calls) == 1 + 7
+    assert shared == fresh
+    assert [code for code, _, _ in shared[0]] == [0, 0, 2, 0, 0, 2, 0]
 
 
 def test_console_entry_point_runs():

@@ -5,7 +5,9 @@ change within 1e-8 of the old breakpoint and stay within ``tol`` of
 ``tad_optimize`` on a dense grid and beside every breakpoint.
 """
 
+import gc
 import math
+import os
 
 import numpy as np
 
@@ -79,3 +81,18 @@ def test_analytic_crossing_takes_four_solves(monkeypatch):
     dec = rho_decomposition(TadWeights(c), 3.0, TOL)
     assert len(dec.tad_sets) == 2
     assert len(calls) <= 4
+
+
+def test_decomposition_leaves_no_reference_cycles():
+    # a cycle would keep the chord list alive until the cyclic collector runs
+    with open(os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")) as fh:
+        w = precompute_cij(ContactMatrix.from_csv(fh.read()))
+    gc.collect()
+    gc.disable()
+    try:
+        dec = rho_decomposition(w, 2.0, TOL)
+        assert len(dec.fn.pieces) > 1000
+        del dec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
