@@ -182,8 +182,9 @@ def _medoid_cost(inst: ClusterInstance, members: Sequence[int]) -> float:
 def prune_tree(tree: ClusterTree, k: int, inst: ClusterInstance):
     """k-cluster pruning of the tree minimizing total medoid (k-median) cost.
 
-    Returns ``(clusters, cost)``.  Ties resolve to the first optimum found in
-    post-order.
+    Returns ``(clusters, cost)``.  The tables are filled children first, in
+    one loop over the nodes; at each node, ties resolve to the first optimum
+    found, the split with the fewest clusters on the left.
     """
     if not 1 <= k <= tree.n:
         raise ValueError("k out of range")
@@ -193,15 +194,17 @@ def prune_tree(tree: ClusterTree, k: int, inst: ClusterInstance):
         children[tuple(sorted(m.left + m.right))] = (m.left, m.right)
     root = tuple(range(tree.n))
 
-    # table[node][j] = (cost, list of clusters) for the best j-pruning below node
-    table: dict[tuple[int, ...], dict[int, tuple[float, list]]] = {}
+    order = [root]  # every parent before its children
+    for node in order:
+        order += children.get(node, ())
 
-    def solve(node):
+    # table[node][j] = (cost, list of clusters) for the best j-pruning below node,
+    # filled children first
+    table: dict[tuple[int, ...], dict[int, tuple[float, list]]] = {}
+    for node in reversed(order):
         entry = {1: (_medoid_cost(inst, node), [node])}
         if node in children:
             left, right = children[node]
-            solve(left)
-            solve(right)
             max_j = min(k, len(node))
             for j in range(2, max_j + 1):
                 best = None
@@ -216,7 +219,6 @@ def prune_tree(tree: ClusterTree, k: int, inst: ClusterInstance):
                     entry[j] = best
         table[node] = entry
 
-    solve(root)
     if k not in table[root]:
         raise ValueError("tree cannot be pruned to k clusters")
     cost, clusters = table[root][k]

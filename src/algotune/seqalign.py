@@ -454,65 +454,70 @@ class GuideTree:
         labels = self.leaf_labels()
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate leaf labels")
-
-        def check(node):
+        stack = [root]  # pre-order, left first, so the first fault found is reported
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
                 if node.left or node.right:
                     raise ValueError("leaf with children")
             elif node.left is None or node.right is None:
                 raise ValueError("internal nodes need exactly two children")
             else:
-                check(node.left)
-                check(node.right)
-
-        check(root)
+                stack += [node.right, node.left]
 
     def leaf_labels(self) -> list[str]:
-        out = []
-
-        def walk(node):
+        """Leaf labels left to right."""
+        out, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
                 out.append(node.label)
             else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
+                stack += [node.right, node.left]
         return out
 
     @classmethod
     def from_newick(cls, text: str) -> "GuideTree":
-        """Parse a binary Newick subset with leaf labels only: ((a,b),(c,d));"""
+        """Parse a binary Newick subset with leaf labels only: ((a,b),(c,d));
+
+        One loop, no recursion, so a tree of any depth parses: each pass reads
+        the '(' that open new nodes and one leaf label, then closes every node
+        that the leaf completes.
+        """
         s = text.strip()
         if s.endswith(";"):
             s = s[:-1]
         pos = 0
-
-        def parse():
-            nonlocal pos
-            if pos < len(s) and s[pos] == "(":
+        open_nodes: list[list] = []  # children read so far, one list per unclosed '('
+        while True:
+            while pos < len(s) and s[pos] == "(":
                 pos += 1
-                left = parse()
-                if pos >= len(s) or s[pos] != ",":
-                    raise ValueError("expected ',' in newick input")
-                pos += 1
-                right = parse()
-                if pos >= len(s) or s[pos] != ")":
-                    raise ValueError("expected ')' in newick input")
-                pos += 1
-                return cls.Node(left=left, right=right)
+                open_nodes.append([])
             start = pos
             while pos < len(s) and s[pos] not in "(),;":
                 pos += 1
             label = s[start:pos].strip()
             if not label:
                 raise ValueError("empty leaf label in newick input")
-            return cls.Node(label=label)
-
-        root = parse()
+            node = cls.Node(label=label)
+            while open_nodes:
+                kids = open_nodes[-1]
+                kids.append(node)
+                if len(kids) == 1:  # a left child: its right sibling follows the ','
+                    if pos >= len(s) or s[pos] != ",":
+                        raise ValueError("expected ',' in newick input")
+                    pos += 1
+                    break
+                if pos >= len(s) or s[pos] != ")":
+                    raise ValueError("expected ')' in newick input")
+                pos += 1
+                open_nodes.pop()
+                node = cls.Node(left=kids[0], right=kids[1])
+            else:  # every '(' is closed: node is the root
+                break
         if pos != len(s):
             raise ValueError(f"trailing newick input at position {pos}")
-        return cls(root)
+        return cls(node)
 
     @classmethod
     def balanced(cls, labels: Seq[str]) -> "GuideTree":

@@ -8,7 +8,11 @@ where exponential sums cross zero.  ``rho_decomposition`` finds those
 crossings with one explicit-stack sweep, the ray search of
 ``piecewise.sweep_linear`` with line crossings replaced by sign-scan roots
 isolated to a thousandth of the caller's tolerance, and approximates each
-region's objective by chords within that tolerance.
+region's objective by chords within that tolerance.  The chord fit tests
+blocks of chords in numpy arrays; its powers go through Python's float
+``pow`` (the C library's, as ``TadWeights.weight`` computes them) rather
+than ``np.power``, which can round differently in the last bit, so the
+chords are the same doubles as one ``tad_objective`` call per point gives.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -190,6 +195,70 @@ def tad_utility(candidate: TadSet, truth: TadSet) -> float:
     return shared / len(candidate.intervals)
 
 
+#: chords taken off the fit's stack and tested together in one array pass
+_CHORD_BLOCK = 1024
+#: where a chord is compared with the objective, as fractions of its width
+_PROBES = np.array([[0.25], [0.5], [0.75]])
+
+
+def _objective_at(terms, xs: np.ndarray) -> np.ndarray:
+    """``tad_objective`` of one set at every point of ``xs``, bit for bit.
+
+    ``terms`` are the set's ``(c_ij, j - i)`` pairs.  Each power is Python's
+    float ``pow`` (the C library's), as in ``TadWeights.weight``: the
+    vectorized ``np.power`` can round differently in the last bit.  A
+    division, like a sum of two terms, is one correctly rounded IEEE
+    operation in numpy as in Python, and a correctly rounded sum is what
+    ``math.fsum`` returns; the zero start turns -0.0 into 0.0, as ``fsum``
+    does.  Sums of three or more terms go through ``fsum`` point by point.
+    """
+    n = len(xs)
+    xl = xs.tolist()  # Python floats, so that pow is float.__pow__
+    parts = [c / np.fromiter(map(pow, repeat(s, n), xl), float, n) for c, s in terms]
+    if len(parts) > 2:
+        return np.array([math.fsum(col) for col in zip(*(p.tolist() for p in parts))])
+    return sum(parts, np.zeros(n))
+
+
+def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Chords of one set's objective on [lo, hi], as rows lo, hi, g(lo), g(hi).
+
+    A chord is kept when it matches the objective within ``tol`` at 1/4, 1/2
+    and 3/4 of its width, else it is halved.  Up to ``_CHORD_BLOCK`` chords
+    come off an explicit stack at a time; their three probes are one
+    ``_objective_at`` call and the midpoints of the failing ones a second.
+    A block, not a whole level of the halving tree, keeps the stack at
+    O(block x depth) rows when ``tol`` cannot be met.  The stack's rows run
+    right to left, so the leftmost chords come off first.  ``ValueError``
+    when a chord 1e-12 wide or 40 halvings deep still misses ``tol``.
+    """
+    stack = np.array([[lo, hi, *_objective_at(terms, np.array([lo, hi])), 0.0]])
+    kept = []
+    while len(stack):
+        block, stack = stack[-_CHORD_BLOCK:], stack[:-_CHORD_BLOCK]
+        lo, hi, vlo, vhi, depth = block.T
+        width = hi - lo
+        slope = (vhi - vlo) / width
+        x = lo + _PROBES * width
+        g = _objective_at(terms, x.ravel()).reshape(x.shape)
+        bad = (np.abs(vlo + slope * (x - lo) - g) > tol).any(axis=0)
+        kept.append(block[~bad, :4])
+        if not bad.any():
+            continue
+        stuck = bad & ((width <= 1e-12) | (depth >= 40))
+        if stuck.any():
+            k = np.flatnonzero(stuck)[-1]  # the leftmost, as rows run right to left
+            raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the chord on "
+                             f"[{float(lo[k])!r}, {float(hi[k])!r}] is still off by more than tol")
+        lo, hi, vlo, vhi, depth = block[bad].T
+        mid = 0.5 * (lo + hi)
+        vm = _objective_at(terms, mid)
+        right = np.stack([mid, hi, vm, vhi, depth + 1], axis=1)
+        left = np.stack([lo, mid, vlo, vm, depth + 1], axis=1)
+        stack = np.concatenate([stack, np.stack([right, left], axis=1).reshape(-1, 5)])
+    return np.concatenate(kept).T
+
+
 class TadDecomposition(NamedTuple):
     fn: PiecewiseFunction1D  # chordal approximation of the optimal objective
     tad_sets: list[TadSet]  # piece tags index into this list
@@ -210,8 +279,10 @@ def rho_decomposition(
     root and the sub-intervals are searched in turn.  With no interior root
     the sets cross at an end, and the set higher at the midpoint holds the
     interval.  Each region's objective is approximated by chords, halved until
-    they match it within ``tol`` at 1/4, 1/2 and 3/4; ``ValueError`` when
-    ``tol`` is finer than 40 halvings (or a width of 1e-12) can resolve.
+    they match it within ``tol`` at 1/4, 1/2 and 3/4 (``_fit_chords``: up to
+    ``_CHORD_BLOCK`` chords per array pass, all chords sorted once at the
+    end); ``ValueError`` when ``tol`` is finer than 40 halvings (or a width
+    of 1e-12) can resolve, naming one chord that stays off.
     ``cap_warning`` is set when ``exp_sum_roots`` hit its root-count cap.
     ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
     weight is then a finite double on the whole domain).
@@ -224,7 +295,7 @@ def rho_decomposition(
 
     sets: list[TadSet] = []
     set_index: dict[TadSet, int] = {}
-    segments: list[tuple[float, float, float, float, int]] = []  # lo, hi, g(lo), g(hi), tag
+    fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag
     warned = False
     res = max(tol * 1e-3, 1e-13)
 
@@ -233,28 +304,6 @@ def rho_decomposition(
             set_index[t] = len(sets)
             sets.append(t)
         return set_index[t]
-
-    def emit_chords(lo, hi, t: TadSet, vlo, vhi):
-        # subdivide until each chord matches the true objective at 1/4, 1/2, 3/4,
-        # left half first.  An explicit stack, not recursion: a nested function
-        # that calls itself is a reference cycle, which would keep ``segments``
-        # alive after return until the cyclic garbage collector runs.
-        stack = [(lo, hi, vlo, vhi, 0)]
-        while stack:
-            lo, hi, vlo, vhi, depth = stack.pop()
-            slope = (vhi - vlo) / (hi - lo)
-            for frac in (0.25, 0.5, 0.75):
-                x = lo + frac * (hi - lo)
-                if abs(vlo + slope * (x - lo) - tad_objective(w, t, x)) > tol:
-                    if hi - lo <= 1e-12 or depth >= 40:
-                        raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the "
-                                         f"chord on [{lo!r}, {hi!r}] is still off by more than tol")
-                    mid = 0.5 * (lo + hi)
-                    vm = tad_objective(w, t, mid)
-                    stack += [(mid, hi, vm, vhi, depth + 1), (lo, mid, vlo, vm, depth + 1)]
-                    break
-            else:
-                segments.append((lo, hi, vlo, vhi, tag_of(t)))
 
     rho_hi = float(rho_hi)
     todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x, min_length)[0] for x in (0.0, rho_hi))]
@@ -282,13 +331,14 @@ def rho_decomposition(
             # the sets cross at an end: the one higher at the midpoint holds it
             if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
                 t_a = t_b
-        emit_chords(a, b, t_a, tad_objective(w, t_a, a), tad_objective(w, t_a, b))
+        own = [(w.c[i][j], float(j - i)) for i, j in t_a.intervals]
+        fits.append((_fit_chords(own, a, b, tol), tag_of(t_a)))
 
-    segments.sort(key=lambda s: s[0])
-    bps = [s[0] for s in segments[1:]]
-    pieces = []
-    for lo, hi, vlo, vhi, tag in segments:
-        slope = (vhi - vlo) / (hi - lo)
-        pieces.append((slope, vlo - slope * lo, tag))
-    fn = PiecewiseFunction1D(0.0, rho_hi, bps, pieces)
+    chords = np.concatenate([chords for chords, _ in fits], axis=1)
+    order = np.argsort(chords[0], kind="stable")
+    lo, hi, vlo, vhi = chords[:, order]
+    tags = np.concatenate([np.full(chords.shape[1], tag) for chords, tag in fits])[order]
+    slope = (vhi - vlo) / (hi - lo)
+    pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))
+    fn = PiecewiseFunction1D(0.0, rho_hi, lo[1:].tolist(), pieces)
     return TadDecomposition(fn, sets, warned)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,14 +140,22 @@ def test_tad_decompose_rejects_non_finite_inputs(tmp_path, capsys):
 
 def test_tad_decompose_tolerance_below_the_chord_fit_exits_2(capsys):
     # 14 x 14 planted-domain matrix: the first TAD input of the benchmark's dp_tune, seed 1
+    # the chord fit's stack stays O(block x depth) on its way to the depth floor
     path = os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")
-    start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "tad", "decompose", "--matrix", path, "--tolerance", "1e-300"
-    )
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "tad", "decompose", "--matrix", path, "--tolerance", "1e-300"
+        )
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
     assert "tol=1e-300 is below what the chord fit can resolve" in err
-    assert time.perf_counter() - start < 5.0
+    assert elapsed < 5.0
+    assert peak < 16 * 2**20
 
 
 def test_tad_rho_out_of_float_range_exits_2(capsys):

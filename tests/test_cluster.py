@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from algotune.cluster import (
     pair_counting_utility,
     prune_tree,
 )
+from prune_reference import prune_tree as reference_prune_tree
 
 rng = np.random.default_rng(8)
 
@@ -238,3 +240,32 @@ def test_instance_validation_and_csv():
     assert inst.n == 2
     pts = ClusterInstance.from_csv("0,0\n3,4\n", euclidean=True)
     assert pts.d[0][1] == pytest.approx(5.0)
+
+
+def test_prune_matches_the_frozen_recursion():
+    local = np.random.default_rng(4410)
+    for case in range(36):
+        n = int(local.integers(2, 13))
+        if case % 2:  # integer points: many tied costs
+            pts = local.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            pts = local.uniform(0, 10, size=(n, 2))
+        inst = ClusterInstance.from_points(pts)
+        family, rho = (("C2", 0.3), ("C1", 2.0), ("C3", 1.0))[case % 3]
+        tree = agglomerate(inst, family, rho)
+        for k in range(1, n + 1):
+            assert prune_tree(tree, k, inst) == reference_prune_tree(tree, k, inst)
+
+
+def test_prune_leaves_no_reference_cycles():
+    # a cycle would keep the tables and the instance alive until the cyclic collector runs
+    inst = ClusterInstance.from_points(np.random.default_rng(1).uniform(0, 10, size=(7, 2)))
+    tree = agglomerate(inst, "C2", 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        clusters, _ = prune_tree(tree, 2, inst)
+        assert len(clusters) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,6 @@
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,3 +307,71 @@ def test_newick_parse_and_validation():
     assert tree.leaf_labels() == ["s1", "s2", "s3", "s4"]
     with pytest.raises(ValueError):
         GuideTree.from_newick("((s1,s2);")
+
+
+def caterpillar_newick(labels, left=True):
+    text = labels[0]
+    for label in labels[1:]:
+        text = f"({text},{label})" if left else f"({label},{text})"
+    return text + ";"
+
+
+def test_newick_caterpillar_deeper_than_the_recursion_limit():
+    labels = [f"s{i}" for i in range(1200)]
+    for left in (True, False):
+        tree = GuideTree.from_newick(caterpillar_newick(labels, left))
+        assert tree.leaf_labels() == (labels if left else labels[::-1])
+        assert GuideTree(tree.root).leaf_labels() == tree.leaf_labels()
+
+
+def test_newick_leaf_labels_in_text_order():
+    rng = np.random.default_rng(52)
+
+    def newick(labels):
+        if len(labels) == 1:
+            return labels[0]
+        cut = int(rng.integers(1, len(labels)))
+        return f"({newick(labels[:cut])},{newick(labels[cut:])})"
+
+    for n in range(1, 40):
+        labels = [f"x{i}" for i in rng.permutation(n)]
+        assert GuideTree.from_newick(newick(labels) + ";").leaf_labels() == labels
+
+
+def test_newick_and_tree_errors():
+    for text, message in (
+        ("", "empty leaf label in newick input"),
+        ("(a,)", "empty leaf label in newick input"),
+        ("(a b", "expected ',' in newick input"),
+        ("((a,b),c", "expected ')' in newick input"),
+        ("(a,b,c)", "expected ')' in newick input"),
+        ("(a,b)c;", "trailing newick input at position 5"),
+        ("a,b", "trailing newick input at position 1"),
+        ("((a,b),a);", "duplicate leaf labels"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GuideTree.from_newick(text)
+    Node = GuideTree.Node
+    # the walks visit left first, so the leftmost fault is the one reported
+    bad_leaf = Node(label="b", left=Node(label="z"))
+    with pytest.raises(ValueError, match="^leaf with children$"):
+        GuideTree(Node(left=Node(left=Node(label="a"), right=bad_leaf), right=Node(label="c")))
+
+
+def test_msa_run_leaves_no_reference_cycles(tmp_path, capsys):
+    from algotune.cli import dispatch
+
+    fasta = tmp_path / "four.fa"
+    fasta.write_text(">a\nACGT\n>b\nACG\n>c\nAACGT\n>d\nAGT\n")
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("((a,b),(c,d));")
+    argv = ["msa", "run", "--input", str(fasta), "--tree", str(tree)]
+    assert dispatch(argv) == 0  # builds the parser once per process
+    gc.collect()
+    gc.disable()
+    try:
+        assert dispatch(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count(">") == 8
