@@ -37,7 +37,8 @@ for n in (2000, 4000, 8000, 12000):
     )
 print("generic Pollard-style bound:", generalization_bound(1.0, 4, 400, math.exp(-1)))
 
-# Exponential sums: root isolation caps the pieces of TAD-style objectives.
+# Exponential sums: t terms have at most t - 1 real roots, found with a
+# certificate; that count bounds the pieces of TAD-style objectives.
 roots = exp_sum_roots([(2.0, 2.0), (-1.0, 1.0)], -5, 5, 1e-9)
 print("\nroots of 2/2^x - 1:", [round(r, 6) for r in roots])
 

@@ -40,8 +40,6 @@ dec = rho_decomposition(w, rho_hi=2.5, tol=1e-6)
 print(f"\ndecomposition found {len(dec.tad_sets)} distinct optimal sets")
 for idx, ts in enumerate(dec.tad_sets):
     print(f"  set {idx}: {list(ts.intervals)}")
-if dec.cap_warning:
-    print("  (warning: a root-isolation cap was hit; set changes may be missing)")
 
 truth, _ = tad_optimize(w, 0.5)
 pred, _ = tad_optimize(w, 2.0)

@@ -2,9 +2,14 @@
 
 Everything here is a small, directly executable formula: pseudo-dimension
 upper bounds solved from their defining counting inequalities, uniform
-convergence bounds, root isolation for exponential sums, and an exhaustive
-check that a family of per-instance evaluators realizes all sign patterns
-against a witness vector.
+convergence bounds, certified root isolation for exponential sums, and an
+exhaustive check that a family of per-instance evaluators realizes all sign
+patterns against a witness vector.
+
+The root isolation rests on the fact behind the TAD bound: a sum of t terms
+a_i / b_i^x with distinct bases has at most t - 1 real roots, and at most as
+many as its coefficients change sign.  ``exp_sum_roots`` recurses on
+derivatives to bracket every root, so it has no grid and no count cap.
 """
 
 from __future__ import annotations
@@ -104,75 +109,90 @@ def finite_class_bound(n_mechanisms: int, N: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 * n_mechanisms / delta) / (2.0 * N))
 
 
-def _exp_sum(terms, x):
-    total = 0.0
-    for a, b in terms:
-        e = -x * math.log(b)
-        if e > 700.0:  # avoid overflow; the term dwarfs everything anyway
-            e = 700.0
-        total += a * math.exp(e)
-    return total
+def _scaled_sum(terms, x):
+    """sum_i a_i e^(-x d_i) over ``(a_i, d_i)``, the d_i shifted so that d_0 = 0.
+
+    This is the exponential sum divided by its first term's power: the same
+    sign everywhere, and every power at most 1 for x >= 0.  ``ValueError``
+    when a power overflows.
+    """
+    try:
+        return math.fsum(a * math.exp(-x * d) for a, d in terms)
+    except OverflowError:
+        raise ValueError(f"the exponential sum overflows the float range at x={x!r}") from None
+
+
+def _bisect(terms, a: float, b: float, va: float, tol: float) -> float:
+    """Midpoint of a bracket at most ``tol`` wide around the sign change in [a, b]."""
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:  # a and b are adjacent doubles
+            break
+        vm = _scaled_sum(terms, m)
+        if vm == 0.0:
+            return m
+        if va * vm < 0.0:
+            b = m
+        else:
+            a, va = m, vm
+    return 0.5 * (a + b)
+
+
+def _isolate(terms, lo: float, hi: float, tol: float) -> list[float]:
+    """Roots in [lo, hi] of sum_i a_i e^(-x λ_i) for ``(a_i, λ_i)``, the λ_i
+    increasing (the logs of sorted bases) and every a_i nonzero.
+
+    The roots are at most the coefficient sign changes (Laguerre).  With more
+    than one, the sum divided by its first power has a derivative of the same
+    kind with one term fewer; its roots split [lo, hi] into brackets where the
+    sum is monotone, so each bracket holds at most one root (Rolle).
+    """
+    signs = [a > 0.0 for a, _ in terms]
+    changes = sum(s != t for s, t in zip(signs, signs[1:]))
+    if changes == 0:
+        return []
+    lam0 = terms[0][1]
+    shifted = [(a, lam - lam0) for a, lam in terms]
+    edges = [lo, hi]
+    if changes > 1:
+        # its derivative, times the positive e^(-x λ_0): coefficients -a_i d_i
+        slopes = [(-a * d, lam) for (a, d), (_, lam) in zip(shifted[1:], terms[1:]) if a * d]
+        edges[1:1] = [c for c in _isolate(slopes, lo, hi, tol) if lo < c < hi]
+    vals = [_scaled_sum(shifted, x) for x in edges]
+    roots = []
+    for u, v, gu, gv in zip(edges, edges[1:], vals, vals[1:]):
+        if gu == 0.0:
+            roots.append(u)
+        elif gu * gv < 0.0:
+            roots.append(_bisect(shifted, u, v, gu, tol))
+    if vals[-1] == 0.0:
+        roots.append(hi)
+    return roots
 
 
 def exp_sum_roots(
-    terms: Sequence[tuple[float, float]],
-    lo: float,
-    hi: float,
-    tol: float,
-    with_cap_flag: bool = False,
-):
-    """Roots of h(x) = sum_i a_i / b_i^x inside [lo, hi], each within ``tol``.
+    terms: Sequence[tuple[float, float]], lo: float, hi: float, tol: float
+) -> list[float]:
+    """Every root of h(x) = sum_i a_i / b_i^x in [lo, hi], each within ``tol``.
 
-    Sign scan on a grid of resolution (hi-lo)/(64*t) followed by bisection.
-    The count is capped at t = len(terms) (Rolle-type bound for exponential
-    sums); tangential roots invisible to the scan can be missed.
+    Certified: the coefficients are summed per base (``math.fsum``), zero sums
+    dropped and the rest sorted by base; ``_isolate`` then finds the roots
+    from Laguerre's rule of signs and Rolle's theorem (Polya & Szego,
+    *Problems and Theorems in Analysis II*, Part V), so t distinct bases give
+    at most t - 1 roots and none is lost to a grid.  A root is a bracket
+    midpoint, or a point where h evaluates to exactly 0.  ``ValueError`` when
+    a power of a base ratio overflows, which cannot happen for lo >= 0.
     """
-    t = len(terms)
     if lo >= hi or tol <= 0:
         raise ValueError("need lo < hi and tol > 0")
-    for _, b in terms:
+    by_base: dict[float, list[float]] = {}
+    for a, b in terms:
         if b <= 0:
             raise ValueError("all bases must be positive")
-    if t == 0 or all(a == 0 for a, _ in terms):
-        return ([], False) if with_cap_flag else []
-
-    steps = 64 * t
-    h = (hi - lo) / steps
-    xs = [lo + i * h for i in range(steps)] + [hi]
-    vals = [_exp_sum(terms, x) for x in xs]
-
-    roots = []
-    for i in range(steps):
-        x0, x1 = xs[i], xs[i + 1]
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(x0)
-            continue
-        if v0 * v1 < 0.0:
-            a_, b_ = x0, x1
-            va = v0
-            while b_ - a_ > tol:
-                m = 0.5 * (a_ + b_)
-                vm = _exp_sum(terms, m)
-                if vm == 0.0:
-                    a_ = b_ = m
-                    break
-                if va * vm < 0.0:
-                    b_ = m
-                else:
-                    a_, va = m, vm
-            roots.append(0.5 * (a_ + b_))
-    if vals[-1] == 0.0:
-        roots.append(hi)
-
-    deduped = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > tol:
-            deduped.append(r)
-    cap_hit = len(deduped) > t
-    if cap_hit:
-        deduped = deduped[:t]
-    return (deduped, cap_hit) if with_cap_flag else deduped
+        by_base.setdefault(b, []).append(a)
+    summed = [(math.fsum(by_base[b]), math.log(b)) for b in sorted(by_base)]
+    summed = [(a, lam) for a, lam in summed if a]
+    return _isolate(summed, float(lo), float(hi), tol) if summed else []
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction1D, sweep_constant
+from .piecewise import PiecewiseFunction1D, check_power, sweep_constant
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,6 @@ class KnapsackInstance:
         return cls(tuple(vals), tuple(sizes), float(capacity))
 
 
-def _check_exponent(bases: tuple[float, ...], rho: float, name: str) -> None:
-    """Reject rho where base ** rho is not a positive finite float: the greedy
-    scores would overflow or divide by zero.  base ** rho is monotone in base
-    and in rho, so the extreme bases, at the largest rho, decide."""
-    for base in bases:
-        try:
-            ok = 0.0 < base ** rho < math.inf
-        except OverflowError:
-            ok = False
-        if not ok:
-            raise ValueError(
-                f"rho={rho!r} is out of range: {base!r} ** rho (from {name}) leaves the float range"
-            )
-
-
 def _density_packing(inst: KnapsackInstance, rho: float):
     """Pack greedily by v/s^rho: ``(order, chosen, total)``.  sorted() is stable,
     so ties keep index order, and rho = 0 orders by value."""
@@ -92,7 +77,7 @@ def knapsack_greedy(inst: KnapsackInstance, rho: float) -> tuple[set[int], float
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    _check_exponent((min(inst.sizes), max(inst.sizes)), rho, "size")
+    check_power((min(inst.sizes), max(inst.sizes)), rho, "size")
     _, sv, tv = _density_packing(inst, 0.0)
     _, sd, td = _density_packing(inst, rho)
     return (sd, td) if td > tv else (sv, tv)
@@ -107,7 +92,7 @@ def knapsack_breakpoints(inst: KnapsackInstance, rho_max: float) -> PiecewiseFun
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    _check_exponent((min(inst.sizes), max(inst.sizes)), rho_max, "size")
+    check_power((min(inst.sizes), max(inst.sizes)), rho_max, "size")
     n, v, s = inst.n, inst.values, inst.sizes
     # a stays ahead of b while above[a, b] < rho < below[a, b]
     below, above = np.full((n, n), math.inf), np.full((n, n), -math.inf)
@@ -205,7 +190,7 @@ def mwis_greedy(g: WeightedGraph, rho: float) -> tuple[set[int], float]:
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    _check_exponent((1 + max(map(len, g.adjacency), default=0),), rho, "1 + degree")
+    check_power((1 + max(map(len, g.adjacency), default=0),), rho, "1 + degree")
     return _mwis_run(g, rho)[:2]
 
 
@@ -218,7 +203,7 @@ def mwis_breakpoints(g: WeightedGraph, rho_max: float) -> PiecewiseFunction1D:
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    _check_exponent((1 + max(map(len, g.adjacency), default=0),), rho_max, "1 + degree")
+    check_power((1 + max(map(len, g.adjacency), default=0),), rho_max, "1 + degree")
     w = g.weights
 
     def run(rho):

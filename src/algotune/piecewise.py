@@ -328,6 +328,24 @@ def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
     return changes
 
 
+def check_power(bases: Sequence[float], rho: float, name: str) -> None:
+    """Reject rho where some base ** rho is not a positive finite float.
+
+    Families that discount by a power of a size, degree or span call this
+    before a solve or a decomposition.  base ** rho is monotone in base and in
+    rho, so the extreme bases at the largest rho decide.
+    """
+    for base in bases:
+        try:
+            ok = 0.0 < base ** rho < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"rho={rho!r} is out of range: {base!r} ** rho (from {name}) leaves the float range"
+            )
+
+
 def sweep_constant(run, lo: float, hi: float) -> PiecewiseFunction1D:
     """Cover ``[lo, hi]`` with the intervals ``run`` certifies, one run per interval.
 

@@ -451,19 +451,22 @@ class GuideTree:
 
     def __init__(self, root: "GuideTree.Node"):
         self.root = root
-        labels = self.leaf_labels()
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate leaf labels")
-        stack = [root]  # pre-order, left first, so the first fault found is reported
+        # one pre-order walk, left first, that checks the structure before it
+        # descends and collects the labels; a leaf's children are not walked
+        labels, leaf_with_children, stack = [], False, [root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                if node.left or node.right:
-                    raise ValueError("leaf with children")
+                labels.append(node.label)
+                leaf_with_children = leaf_with_children or bool(node.left or node.right)
             elif node.left is None or node.right is None:
                 raise ValueError("internal nodes need exactly two children")
             else:
                 stack += [node.right, node.left]
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate leaf labels")
+        if leaf_with_children:
+            raise ValueError("leaf with children")
 
     def leaf_labels(self) -> list[str]:
         """Leaf labels left to right."""

@@ -6,8 +6,10 @@ for a TAD set is sum c_ij / (j-i)^rho and the optimizer is a weighted-interval
 scheduling DP.  The parameter decomposition is numerical: optimal sets change
 where exponential sums cross zero.  ``rho_decomposition`` finds those
 crossings with one explicit-stack sweep, the ray search of
-``piecewise.sweep_linear`` with line crossings replaced by sign-scan roots
-isolated to a thousandth of the caller's tolerance, and approximates each
+``piecewise.sweep_linear`` with line crossings replaced by the roots of
+objective differences, which ``bounds.exp_sum_roots`` isolates with a
+certificate (coefficients summed per span, so sets tied at every rho give
+no root) to a thousandth of the caller's tolerance, and approximates each
 region's objective by chords within that tolerance.  The chord fit tests
 blocks of chords in numpy arrays; its powers go through Python's float
 ``pow`` (the C library's, as ``TadWeights.weight`` computes them) rather
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import exp_sum_roots
-from .piecewise import PiecewiseFunction1D
+from .piecewise import PiecewiseFunction1D, check_power
 
 
 class ContactMatrix:
@@ -102,17 +104,8 @@ class TadWeights:
         return self.c[i][j] / (j - i) ** rho
 
     def check_rho(self, rho: float) -> None:
-        """Reject rho where the longest span's (n - 1) ** rho leaves the float
-        range; the power is monotone in the span and in rho, so that one decides."""
-        try:
-            ok = float(max(self.n - 1, 1)) ** rho < math.inf
-        except OverflowError:
-            ok = False
-        if not ok:
-            raise ValueError(
-                f"rho={rho!r} is out of range: {self.n - 1} ** rho (from the longest span) "
-                "leaves the float range"
-            )
+        """Reject rho where the longest span's (n - 1) ** rho leaves the float range."""
+        check_power((max(self.n - 1, 1),), rho, "the longest span")
 
 
 def _block_mean(vals: np.ndarray) -> float:
@@ -262,7 +255,9 @@ def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
 class TadDecomposition(NamedTuple):
     fn: PiecewiseFunction1D  # chordal approximation of the optimal objective
     tad_sets: list[TadSet]  # piece tags index into this list
-    cap_warning: bool  # a root isolation hit its count cap somewhere
+    # always False: the root isolation is certified and has no count cap.  The
+    # field stays because the benchmark tracer reads it and the CLI JSON prints it.
+    cap_warning: bool
 
 
 def rho_decomposition(
@@ -274,16 +269,18 @@ def rho_decomposition(
     interval carries the optimal sets at its ends.  Where they agree, one mid
     probe guards against a third set winning strictly inside.  Where they
     differ, the roots of their objective difference (an exponential sum) are
-    isolated to ``max(tol * 1e-3, 1e-13)``, the x-precision that keeps values
-    within ``tol`` beside a breakpoint; the optimum is probed at each interior
-    root and the sub-intervals are searched in turn.  With no interior root
-    the sets cross at an end, and the set higher at the midpoint holds the
-    interval.  Each region's objective is approximated by chords, halved until
+    isolated, all of them, to ``max(tol * 1e-3, 1e-13)``, the x-precision
+    that keeps values within ``tol`` beside a breakpoint; the coefficients are
+    summed per span first, so two sets tied at every rho have no root and
+    the sweep does not chase their rounding.  The optimum is probed at each
+    interior root and the sub-intervals are searched in turn.  With no
+    interior root the sets cross at an end, and the set higher at the
+    midpoint holds the interval.  Each region's objective is approximated by chords, halved until
     they match it within ``tol`` at 1/4, 1/2 and 3/4 (``_fit_chords``: up to
     ``_CHORD_BLOCK`` chords per array pass, all chords sorted once at the
     end); ``ValueError`` when ``tol`` is finer than 40 halvings (or a width
     of 1e-12) can resolve, naming one chord that stays off.
-    ``cap_warning`` is set when ``exp_sum_roots`` hit its root-count cap.
+    ``cap_warning`` is always False.
     ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
     weight is then a finite double on the whole domain).
     """
@@ -296,7 +293,6 @@ def rho_decomposition(
     sets: list[TadSet] = []
     set_index: dict[TadSet, int] = {}
     fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag
-    warned = False
     res = max(tol * 1e-3, 1e-13)
 
     def tag_of(t: TadSet) -> int:
@@ -320,9 +316,7 @@ def rho_decomposition(
             in_a, in_b = set(t_a.intervals), set(t_b.intervals)
             terms = [(w.c[i][j], float(j - i)) for i, j in in_a - in_b]
             terms += [(-w.c[i][j], float(j - i)) for i, j in in_b - in_a]
-            roots, cap = exp_sum_roots(terms, a, b, res, with_cap_flag=True)
-            warned = warned or cap
-            roots = [r for r in roots if a + res < r < b - res]
+            roots = [r for r in exp_sum_roots(terms, a, b, res) if a + res < r < b - res]
             if roots:
                 edges = [a] + roots + [b]
                 opts = [t_a] + [tad_optimize(w, x, min_length)[0] for x in roots] + [t_b]
@@ -341,4 +335,4 @@ def rho_decomposition(
     slope = (vhi - vlo) / (hi - lo)
     pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))
     fn = PiecewiseFunction1D(0.0, rho_hi, lo[1:].tolist(), pieces)
-    return TadDecomposition(fn, sets, warned)
+    return TadDecomposition(fn, sets, False)

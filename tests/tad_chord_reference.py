@@ -92,7 +92,7 @@ def rho_decomposition(
             in_a, in_b = set(t_a.intervals), set(t_b.intervals)
             terms = [(w.c[i][j], float(j - i)) for i, j in in_a - in_b]
             terms += [(-w.c[i][j], float(j - i)) for i, j in in_b - in_a]
-            roots, cap = exp_sum_roots(terms, a, b, res, with_cap_flag=True)
+            roots, cap = exp_sum_roots(terms, a, b, res), False
             warned = warned or cap
             roots = [r for r in roots if a + res < r < b - res]
             if roots:

@@ -77,7 +77,7 @@ def rho_decomposition(
         in_hi = set(t_hi.intervals)
         terms = [(w.c[i][j], float(j - i)) for i, j in in_lo - in_hi]
         terms += [(-w.c[i][j], float(j - i)) for i, j in in_hi - in_lo]
-        roots, cap = exp_sum_roots(terms, lo, hi, tol, with_cap_flag=True)
+        roots, cap = exp_sum_roots(terms, lo, hi, tol), False
         warned = warned or cap
         margin = max(tol, (hi - lo) * 1e-9)
         roots = [r for r in roots if lo + margin < r < hi - margin]

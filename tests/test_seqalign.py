@@ -356,6 +356,11 @@ def test_newick_and_tree_errors():
     bad_leaf = Node(label="b", left=Node(label="z"))
     with pytest.raises(ValueError, match="^leaf with children$"):
         GuideTree(Node(left=Node(left=Node(label="a"), right=bad_leaf), right=Node(label="c")))
+    # a missing child is found before the labels are read (it raised AttributeError)
+    with pytest.raises(ValueError, match="^internal nodes need exactly two children$"):
+        GuideTree(Node(left=Node(label="a")))
+    with pytest.raises(ValueError, match="^internal nodes need exactly two children$"):
+        GuideTree(Node(left=Node(label="a"), right=Node(right=Node(label="b"))))
 
 
 def test_msa_run_leaves_no_reference_cycles(tmp_path, capsys):
