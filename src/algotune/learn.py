@@ -20,11 +20,15 @@ import numpy as np
 from .bounds import finite_class_bound, spa_estimation_bound
 from .mechanisms import (
     FiniteDistribution,
-    anonymous_reserve_dual,
+    anonymous_reserve_duals,
     build_nam_distribution,
     expected_utility,
 )
-from .piecewise import PiecewiseFunction1D, argmax, average
+from .piecewise import PiecewiseBatch, PiecewiseFunction1D
+
+# learn does not call these; bench/tracer.py wraps them where learn binds them.
+from .mechanisms import anonymous_reserve_dual  # noqa: F401
+from .piecewise import argmax, average  # noqa: F401
 
 ADVERSARIAL_FAMILIES = ("spa_overfit", "nam_overfit")
 KNOWN_FAMILIES = ("spa_overfit", "spa_erm", "nam_overfit")
@@ -43,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.n_schedule:
+            raise ValueError("n_schedule must list at least one training size")
         if any(n < 1 for n in self.n_schedule):
             raise ValueError("all training sizes must be >= 1")
 
@@ -73,11 +79,18 @@ class ExperimentRow:
             raise ValueError("estimation error is nonnegative by definition")
 
 
-def erm(duals: Sequence[PiecewiseFunction1D]):
-    """Parameter maximizing the average of per-instance duals (leftmost tie-break)."""
-    if not duals:
-        raise ValueError("need at least one dual")
-    res = argmax(average(duals))
+def erm(duals: Sequence[PiecewiseFunction1D] | PiecewiseBatch):
+    """Parameter maximizing the average of per-instance duals (leftmost tie-break).
+
+    ``duals`` is a sequence of functions or one ``PiecewiseBatch``.  The
+    average stays in arrays (``PiecewiseBatch.mean``); no function object is
+    built for it.
+    """
+    if not isinstance(duals, PiecewiseBatch):
+        if not duals:
+            raise ValueError("need at least one dual")
+        duals = PiecewiseBatch.of(duals)
+    res = duals.mean().argmax()
     return res.param, res.value
 
 
@@ -129,6 +142,18 @@ def optimal_nonanonymous_revenue(values: np.ndarray) -> float:
     return float(values.mean())
 
 
+def _spa_values(p: dict) -> np.ndarray:
+    """Bidder values of the SPA families: ``params.values``, else the synthetic set."""
+    if "values" not in p:
+        return synthetic_spa_values(int(p.get("n_low", 5334)), int(p.get("n_high", 5278)))
+    values = np.asarray(p["values"], dtype=float)
+    if values.ndim != 1 or len(values) == 0:
+        raise ValueError("params.values must be a nonempty list of numbers")
+    if not np.isfinite(values).all():
+        raise ValueError("params.values must all be finite")
+    return values
+
+
 class _SpaOverfitFamily:
     """Non-anonymous reserves fit to the sample, 3/4 elsewhere."""
 
@@ -136,12 +161,7 @@ class _SpaOverfitFamily:
 
     def __init__(self, cfg: ExperimentConfig):
         p = cfg.params
-        if "values" in p:
-            self.values = np.asarray(p["values"], dtype=float)
-        else:
-            self.values = synthetic_spa_values(
-                int(p.get("n_low", 5334)), int(p.get("n_high", 5278))
-            )
+        self.values = _spa_values(p)
         self.fallback = float(p.get("fallback", 0.75))
         self.delta = cfg.delta
         self.seed = cfg.seed
@@ -169,13 +189,7 @@ class _SpaErmFamily:
     adversarial = False
 
     def __init__(self, cfg: ExperimentConfig):
-        p = cfg.params
-        if "values" in p:
-            self.values = np.asarray(p["values"], dtype=float)
-        else:
-            self.values = synthetic_spa_values(
-                int(p.get("n_low", 5334)), int(p.get("n_high", 5278))
-            )
+        self.values = _spa_values(cfg.params)
         self.delta = cfg.delta
         self.seed = cfg.seed
 
@@ -186,7 +200,9 @@ class _SpaErmFamily:
         rng = _trial_rng(self.seed, t, n)
         w = self.values
         sample = w[rng.integers(0, len(w), size=n)]
-        duals = [anonymous_reserve_dual([float(v), 0.0]) for v in sample]
+        # each sampled value bids against one bid of 0; the larger is the top bid
+        nonneg = sample >= 0.0
+        duals = anonymous_reserve_duals(np.where(nonneg, sample, 0.0), np.where(nonneg, 0.0, sample))
         rho_hat, train_value = erm(duals)
         return abs(train_value - spa_expected_revenue_anonymous(w, rho_hat))
 

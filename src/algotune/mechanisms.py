@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction1D
+from .piecewise import PiecewiseBatch, PiecewiseFunction1D
 
 
 class ValuationProfile:
@@ -181,27 +181,38 @@ def anonymous_reserve_dual(bids: Sequence[float], hi: float = 1.0) -> PiecewiseF
     """Revenue of the anonymous SPA as a function of the reserve on [0, hi].
 
     Exact three-piece form: constant second-highest bid, then the identity,
-    then zero once the reserve exceeds the highest bid.
+    then zero once the reserve exceeds the highest bid.  A batch of one of
+    ``anonymous_reserve_duals``.
     """
     bids = sorted(bids, reverse=True)
     if len(bids) < 2:
         raise ValueError("need at least two bidders")
+    return anonymous_reserve_duals([bids[0]], [bids[1]], hi).functions()[0]
+
+
+def anonymous_reserve_duals(top, second, hi: float = 1.0) -> PiecewiseBatch:
+    """Revenue duals of many anonymous SPAs, as one batch on [0, hi].
+
+    Auction k has highest bid ``top[k]`` and second-highest bid ``second[k]``.
+    Each dual's three pieces (constant ``second[k]`` on [0, second[k]), the
+    identity up to ``top[k]``, then zero) are clipped to the domain, empty
+    ones dropped, and the rest put in canonical form on arrays.
+    """
     if hi <= 0:
         raise ValueError("hi must be positive")
-    v1, v2 = float(bids[0]), float(bids[1])
-
-    segments = [(0.0, v2, (0.0, v2)), (v2, v1, (1.0, 0.0)), (v1, hi, (0.0, 0.0))]
-    bps, pieces = [], []
-    for lo_, hi_, (s, c) in segments:
-        lo_, hi_ = max(lo_, 0.0), min(hi_, hi)
-        if hi_ <= lo_:
-            continue
-        if pieces:
-            bps.append(lo_)
-        pieces.append((s, c, None))
-    if not pieces:  # all bids above the domain: the identity covers everything
-        pieces = [(1.0, 0.0, None)]
-    return PiecewiseFunction1D(0.0, hi, bps, pieces)
+    v1 = np.asarray(top, dtype=float)
+    v2 = np.asarray(second, dtype=float)
+    if v1.shape != v2.shape or v1.ndim != 1:
+        raise ValueError("top and second must be 1-d arrays of one length")
+    if not (v1 >= v2).all():
+        raise ValueError("every top bid must be at least its second bid")
+    zero = np.zeros_like(v1)
+    seg_lo = np.stack([zero, np.maximum(v2, 0.0), np.maximum(v1, 0.0)], axis=1)
+    seg_hi = np.stack([np.minimum(v2, hi), np.minimum(v1, hi), np.full_like(v1, hi)], axis=1)
+    keep = seg_hi > seg_lo  # an auction's first kept segment starts at 0, its lo
+    slopes = np.broadcast_to([0.0, 1.0, 0.0], keep.shape)[keep]
+    icepts = np.stack([v2, zero, zero], axis=1)[keep]
+    return PiecewiseBatch(0.0, float(hi), seg_lo[keep], slopes, icepts).canonical()
 
 
 class SingleBidProfile:
@@ -281,6 +292,8 @@ class FiniteDistribution:
     @classmethod
     def uniform(cls, support: list) -> "FiniteDistribution":
         k = len(support)
+        if k == 0:
+            raise ValueError("need a nonempty support")
         return cls(support, np.full(k, 1.0 / k))
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -471,6 +484,8 @@ def build_nam_distribution(
     ``n_profiles + i``'s pair from group 2 (uniformly, via ``rng``); all other
     agents value everything at zero.
     """
+    if n_profiles < 1:
+        raise ValueError(f"n_profiles must be >= 1, got {n_profiles}")
     if rng is None:
         rng = np.random.default_rng(0)
     a1 = [r for r in pairs if group1(r)]

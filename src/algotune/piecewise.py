@@ -12,6 +12,14 @@ covers the domain with the intervals each run certifies (piecewise-constant
 outcomes), and ``sweep_linear`` finds the upper envelope of the lines a
 solver returns by Eisner–Severance ray search, with O(pieces) solver calls.
 
+ERM runs on arrays: ``PiecewiseBatch`` holds many functions on one domain as
+a struct of arrays, and its ``mean`` and ``argmax`` are one numpy kernel (a
+stable sort of all breakpoints, a sequential running sum of coefficient
+changes, the constructor's canonical rules applied on arrays).  ``average``
+and ``argmax`` are front ends to it.  The ``PiecewiseFunction1D``
+constructor stays in Python, which is faster for the few-piece functions most
+callers build.
+
 Values are IEEE doubles.  Breakpoints closer than ``EPS_CMP`` are coalesced,
 and all value-level guarantees downstream are stated with tolerances, so no
 exact rational arithmetic is attempted.
@@ -23,7 +31,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 #: Global comparison tolerance for breakpoint coalescing.
 EPS_CMP = 1e-9
@@ -190,47 +202,10 @@ def upper_envelope(lines: Sequence[Line1D], lo: float, hi: float) -> PiecewiseFu
 def average(fns: Sequence[PiecewiseFunction1D]) -> PiecewiseFunction1D:
     """Pointwise arithmetic mean of functions sharing one domain (tags cleared).
 
-    Runs in O(total breakpoints x log) via a sweep with running coefficient
-    sums, so averaging thousands of small duals (the ERM case) stays cheap.
+    A front end to ``PiecewiseBatch.mean``: one sort of all breakpoints and one
+    running sum of the coefficient changes, in numpy.
     """
-    if not fns:
-        raise ValueError("need at least one function")
-    lo, hi = fns[0].lo, fns[0].hi
-    for f in fns:
-        if f.lo != lo or f.hi != hi:
-            raise ValueError("mismatched domains")
-
-    n = len(fns)
-    events = []  # (breakpoint, fn index, new piece index)
-    for idx, f in enumerate(fns):
-        for p, b in enumerate(f.breakpoints):
-            events.append((b, idx, p + 1))
-    events.sort(key=lambda e: e[0])
-
-    slope_sum = math.fsum(f.pieces[0][0] for f in fns)
-    icept_sum = math.fsum(f.pieces[0][1] for f in fns)
-
-    bps, pieces = [], []
-    i = 0
-    cur = lo
-    while True:
-        pieces.append((slope_sum / n, icept_sum / n, None))
-        if i >= len(events):
-            break
-        b = events[i][0]
-        while i < len(events) and events[i][0] == b:
-            _, idx, pidx = events[i]
-            old_s, old_c, _ = fns[idx].pieces[pidx - 1]
-            new_s, new_c, _ = fns[idx].pieces[pidx]
-            slope_sum += new_s - old_s
-            icept_sum += new_c - old_c
-            i += 1
-        if b > cur:
-            bps.append(b)
-            cur = b
-        else:  # duplicate cut collapsed by canonicalization anyway
-            pieces.pop()
-    return PiecewiseFunction1D(lo, hi, bps, pieces)
+    return PiecewiseBatch.of(fns).mean().functions()[0]
 
 
 class ArgmaxResult(NamedTuple):
@@ -244,41 +219,167 @@ def argmax(fn: PiecewiseFunction1D) -> ArgmaxResult:
 
     If the supremum is approached only as a left limit at an (open) piece end,
     the breakpoint itself is returned with ``attained_in_limit=True``.
-    Raises for a supremum of +inf on an unbounded domain.
+    Raises for a supremum of +inf on an unbounded domain.  A front end to
+    ``PiecewiseBatch.argmax``.
     """
-    npieces = len(fn.pieces)
-    attained: list[tuple[float, float]] = []  # (x, value)
-    limits: list[tuple[float, float]] = []
+    return PiecewiseBatch.of([fn]).argmax()
 
-    for i, (s, c, _) in enumerate(fn.pieces):
-        a, b = fn.piece_bounds(i)
-        if a == NEG_INF:
-            if s < 0:
-                raise ValueError("unbounded")
-            if s == 0:
-                attained.append((NEG_INF, c))
-        else:
-            attained.append((a, s * a + c))
-        if i == npieces - 1:
-            if b == POS_INF:
-                if s > 0:
-                    raise ValueError("unbounded")
-            else:
-                attained.append((b, s * b + c))
-        elif s > 0:
-            limits.append((b, s * b + c))
 
-    best_x, best_v = attained[0]
-    for x, v in attained[1:]:
-        if v > best_v:
-            best_x, best_v = x, v
-    lim_x, lim_v = None, NEG_INF
-    for x, v in limits:
-        if v > lim_v:
-            lim_x, lim_v = x, v
-    if lim_x is not None and lim_v > best_v:
-        return ArgmaxResult(lim_x, lim_v, True)
-    return ArgmaxResult(best_x, best_v, False)
+def _leftmost_max(v: np.ndarray) -> int:
+    """Index where ``best = v[0]``, then ``best = v[i]`` whenever ``v[i] > best``, ends."""
+    if v[0] != v[0]:  # NaN: no later value compares greater
+        return 0
+    return int(np.argmax(np.where(v == v, v, NEG_INF)))
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseBatch:
+    """Piecewise-linear functions sharing the domain ``[lo, hi]``, as a struct of arrays.
+
+    The pieces of all functions are listed function by function, left to
+    right.  Piece ``i`` is ``slopes[i] * x + intercepts[i]`` from ``starts[i]``
+    on: ``lo`` for the first piece of a function, that function's breakpoint
+    otherwise.  Breakpoints lie strictly inside ``(lo, hi)``, so
+    ``starts == lo`` marks where each function begins.  Tags are not kept.
+
+    ``mean`` and ``argmax`` are the ERM kernel: the average of many duals and
+    its leftmost maximizer.  Their sums run in a fixed order (see ``mean``),
+    so results are reproducible bit for bit; ``tests/piecewise_reference.py``
+    holds the piece-by-piece loops they must equal.
+    """
+
+    lo: float
+    hi: float
+    starts: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
+
+    @classmethod
+    def of(cls, fns: Sequence[PiecewiseFunction1D]) -> "PiecewiseBatch":
+        """The batch of ``fns``, which must share one domain."""
+        if not fns:
+            raise ValueError("need at least one function")
+        lo, hi = fns[0].lo, fns[0].hi
+        for f in fns:
+            if f.lo != lo or f.hi != hi:
+                raise ValueError("mismatched domains")
+        pieces = list(chain.from_iterable(f.pieces for f in fns))
+        starts = chain.from_iterable(chain((lo,), f.breakpoints) for f in fns)
+        n = len(pieces)
+        return cls(
+            lo,
+            hi,
+            np.fromiter(starts, float, n),
+            np.fromiter(map(itemgetter(0), pieces), float, n),
+            np.fromiter(map(itemgetter(1), pieces), float, n),
+        )
+
+    def functions(self) -> list[PiecewiseFunction1D]:
+        """One ``PiecewiseFunction1D`` per function of the batch (tags ``None``)."""
+        heads = np.flatnonzero(self.starts == self.lo).tolist() + [len(self.starts)]
+        a, s, c = self.starts.tolist(), self.slopes.tolist(), self.intercepts.tolist()
+        return [
+            PiecewiseFunction1D(self.lo, self.hi, a[i + 1:j], [(s[k], c[k], None) for k in range(i, j)])
+            for i, j in zip(heads, heads[1:])
+        ]
+
+    def canonical(self) -> "PiecewiseBatch":
+        """Every function in the canonical form ``PiecewiseFunction1D`` gives it.
+
+        The constructor's rules, on arrays: breakpoints within ``EPS_CMP`` of
+        ``hi`` are dropped; a breakpoint within ``EPS_CMP`` of the last kept one
+        is dropped too, and its right piece replaces the kept one's; equal
+        neighbouring pieces merge.
+        """
+        lo, hi = self.lo, self.hi
+        first = self.starts == lo
+        keep = first | ~(hi - self.starts < EPS_CMP)
+        starts, first = self.starts[keep], first[keep]
+        slopes, icepts = self.slopes[keep], self.intercepts[keep]
+
+        # A raw gap of at least EPS_CMP keeps its breakpoint, since the last kept
+        # one lies at or left of its neighbour; only the narrower gaps need a walk.
+        keep = first.copy()
+        inner = np.flatnonzero(~first)
+        keep[inner] = ~(starts[inner] - starts[inner - 1] < EPS_CMP)
+        anchor = 0
+        for i in np.flatnonzero(~keep).tolist():
+            if keep[i - 1]:
+                anchor = i - 1
+            keep[i] = not starts[i] - starts[anchor] < EPS_CMP
+        kept = np.flatnonzero(keep)
+        last = np.append(kept[1:], len(keep)) - 1  # a kept start takes its run's last piece
+        starts, first = starts[kept], first[kept]
+        slopes, icepts = slopes[last], icepts[last]
+
+        same = ~first
+        same[1:] &= (slopes[1:] == slopes[:-1]) & (icepts[1:] == icepts[:-1])
+        keep = ~same
+        return PiecewiseBatch(lo, hi, starts[keep], slopes[keep], icepts[keep])
+
+    def mean(self) -> "PiecewiseBatch":
+        """Pointwise mean of the batch's functions, as a canonical batch of one.
+
+        Every breakpoint is an event, taken function by function, then piece by
+        piece, and stably sorted by position.  The running sums start from the
+        ``math.fsum`` of the first pieces and add each event's ``new - old``
+        coefficient in that order (``np.add.accumulate`` adds sequentially);
+        the sums after the last event at each position, divided by the number
+        of functions, are the pieces.
+        """
+        lo = self.lo
+        first = self.starts == lo
+        n = int(np.count_nonzero(first))
+        event = np.flatnonzero(~first)  # pieces that begin at a breakpoint
+        order = np.argsort(self.starts[event], kind="stable")
+        event = event[order]
+        at = self.starts[event]
+        sums = []
+        for coef in (self.slopes, self.intercepts):
+            delta = coef[event] - coef[event - 1]
+            sums.append(np.add.accumulate(np.concatenate(([math.fsum(coef[first].tolist())], delta))))
+        new = np.ones(len(at), dtype=bool)
+        new[1:] = at[1:] != at[:-1]
+        done = np.empty(len(at), dtype=bool)  # the last event at its position
+        done[:-1] = new[1:]
+        done[-1:] = True
+        take = np.concatenate(([0], np.flatnonzero(done) + 1))
+        starts = np.concatenate(([lo], at[new]))
+        return PiecewiseBatch(lo, self.hi, starts, sums[0][take] / n, sums[1][take] / n).canonical()
+
+    def argmax(self) -> ArgmaxResult:
+        """``argmax`` of the one function this batch holds.
+
+        Candidates are each piece's closed start (and the domain's finite right
+        end), plus, for a rising piece, the open right end as a limit.  The
+        leftmost best candidate wins, and a limit only when it is strictly higher.
+        """
+        lo, hi, a, s, c = self.lo, self.hi, self.starts, self.slopes, self.intercepts
+        if np.count_nonzero(a == lo) != 1:
+            raise ValueError("argmax needs a batch of one function")
+        if (lo == NEG_INF and s[0] < 0) or (hi == POS_INF and s[-1] > 0):
+            raise ValueError("unbounded")
+        xs, vs = [a[1:]], [s[1:] * a[1:] + c[1:]]
+        if lo != NEG_INF:
+            xs.insert(0, [lo])
+            vs.insert(0, [s[0] * lo + c[0]])
+        elif s[0] == 0:
+            xs.insert(0, [NEG_INF])
+            vs.insert(0, [c[0]])
+        if hi != POS_INF:
+            xs.append([hi])
+            vs.append([s[-1] * hi + c[-1]])
+        xs, vs = np.concatenate(xs), np.concatenate(vs)
+        i = _leftmost_max(vs)
+
+        rising = np.flatnonzero(s[:-1] > 0)
+        if len(rising):
+            lim_x = a[rising + 1]
+            lim_v = s[rising] * lim_x + c[rising]
+            j = _leftmost_max(np.concatenate(([NEG_INF], lim_v))) - 1
+            if j >= 0 and lim_v[j] > vs[i]:
+                return ArgmaxResult(float(lim_x[j]), float(lim_v[j]), True)
+        return ArgmaxResult(float(xs[i]), float(vs[i]), False)
 
 
 def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:

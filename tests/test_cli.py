@@ -313,6 +313,28 @@ def test_learn_run_reproducible(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"family": "spa_erm", "params": {"values": []}}, "params.values must be a nonempty"),
+        ({"family": "spa_overfit", "params": {"values": []}}, "params.values must be a nonempty"),
+        ({"family": "spa_erm", "params": {"values": [0.5, 1e400]}}, "params.values must all be finite"),
+        ({"family": "spa_overfit", "params": {"values": [0.5, 1e400]}}, "params.values must all be finite"),
+        ({"family": "spa_erm", "params": {"values": [0.5, float("nan")]}}, "params.values must all be finite"),
+        ({"family": "spa_overfit", "params": {"values": [float("-inf")]}}, "params.values must all be finite"),
+        ({"family": "nam_overfit", "params": {"n_profiles": 0}}, "n_profiles must be >= 1"),
+        ({"family": "spa_erm", "n_schedule": []}, "n_schedule must list at least one"),
+    ],
+)
+def test_learn_run_rejects_bad_configs(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_schedule": [10], "trials": 2, **config}))
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, "learn", "run", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and stdout == "" and message in err
+    assert not out.exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.fa"
     assert dispatch(["align", "run", "--input", str(missing)]) == 2

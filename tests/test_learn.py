@@ -116,6 +116,13 @@ def test_run_experiment_nam_bound_column():
     assert rows[0].bound > rows[1].bound
 
 
+def test_config_rejects_empty_schedule():
+    with pytest.raises(ValueError, match="n_schedule"):
+        ExperimentConfig("spa_erm", [])
+    with pytest.raises(ValueError, match="n_schedule"):
+        ExperimentConfig.from_json('{"family": "spa_erm", "n_schedule": []}')
+
+
 def test_run_experiment_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         run_experiment(ExperimentConfig("nope", [10]))

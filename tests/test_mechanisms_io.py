@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from algotune.mechanisms import (
     FiniteDistribution,
@@ -35,3 +36,10 @@ def test_dense_profile_json():
     dist = FiniteDistribution([ValuationProfile([[1.0, 0.0]])], np.array([1.0]))
     payload = json.loads(dist.to_json())
     assert payload["support"][0] == {"kind": "dense", "matrix": [[1.0, 0.0]]}
+
+
+def test_empty_distributions_rejected():
+    with pytest.raises(ValueError, match="nonempty support"):
+        FiniteDistribution.uniform([])
+    with pytest.raises(ValueError, match="n_profiles must be >= 1"):
+        build_nam_distribution([(0.4, -0.1), (-0.2, 0.1)], n_profiles=0)
