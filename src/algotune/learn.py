@@ -145,7 +145,10 @@ def optimal_nonanonymous_revenue(values: np.ndarray) -> float:
 def _spa_values(p: dict) -> np.ndarray:
     """Bidder values of the SPA families: ``params.values``, else the synthetic set."""
     if "values" not in p:
-        return synthetic_spa_values(int(p.get("n_low", 5334)), int(p.get("n_high", 5278)))
+        n_low, n_high = int(p.get("n_low", 5334)), int(p.get("n_high", 5278))
+        if n_low < 0 or n_high < 0 or n_low + n_high < 1:
+            raise ValueError("params.n_low and params.n_high must be >= 0 with a sum >= 1")
+        return synthetic_spa_values(n_low, n_high)
     values = np.asarray(p["values"], dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("params.values must be a nonempty list of numbers")
@@ -163,6 +166,8 @@ class _SpaOverfitFamily:
         p = cfg.params
         self.values = _spa_values(p)
         self.fallback = float(p.get("fallback", 0.75))
+        if not math.isfinite(self.fallback):
+            raise ValueError("params.fallback must be finite")
         self.delta = cfg.delta
         self.seed = cfg.seed
 

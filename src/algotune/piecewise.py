@@ -10,7 +10,11 @@ right endpoint.
 Two search kernels build these functions from a solver: ``sweep_constant``
 covers the domain with the intervals each run certifies (piecewise-constant
 outcomes), and ``sweep_linear`` finds the upper envelope of the lines a
-solver returns by Eisner–Severance ray search, with O(pieces) solver calls.
+solver returns by Eisner–Severance ray search.  ``sweep_linear`` runs in
+rounds and hands the solver every pending probe point of a round in one
+call, O(pieces) points in all, so a dynamic program that solves many
+parameters in one batched run pays its fixed per-run cost once per round.
+``refine_constant`` likewise asks for all piece midpoints at once.
 
 ERM runs on arrays: ``PiecewiseBatch`` holds many functions on one domain as
 a struct of arrays, and its ``mean`` and ``argmax`` are one numpy kernel (a
@@ -192,9 +196,9 @@ def upper_envelope(lines: Sequence[Line1D], lo: float, hi: float) -> PiecewiseFu
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need a bounded domain with lo < hi")
 
-    def solve(x):
-        best = max(lines, key=lambda ln: (ln.value(x), ln.slope, -ln.tag))
-        return best.slope, best.intercept, best.tag
+    def solve(xs):
+        tops = [max(lines, key=lambda ln: (ln.value(x), ln.slope, -ln.tag)) for x in xs]
+        return [(ln.slope, ln.intercept, ln.tag) for ln in tops]
 
     return sweep_linear(solve, lo, hi)
 
@@ -471,49 +475,55 @@ def sweep_constant(run, lo: float, hi: float) -> PiecewiseFunction1D:
 def sweep_linear(solve, lo: float, hi: float) -> PiecewiseFunction1D:
     """Upper envelope of the lines ``solve`` returns over ``[lo, hi]``.
 
-    Eisner–Severance ray search: ``solve(x)`` returns ``(slope, intercept, tag)``
-    of a line attaining the max at ``x``.  The kernel solves at both ends, then at
-    the crossing of each interval's end lines: a line above that crossing by more
-    than 1e-9 splits the interval, otherwise the crossing is a breakpoint.  At
-    most 2 * pieces + 1 calls to ``solve``.
+    Eisner–Severance ray search, run in rounds: ``solve(xs)`` takes a list of
+    points and returns, per point, ``(slope, intercept, tag)`` of a line
+    attaining the max there.  Round 1 solves at both ends; each later round
+    solves, in one call, at the crossing of the end lines of every pending
+    interval.  A line above that crossing by more than 1e-9 splits its
+    interval, otherwise the crossing is a breakpoint.  Each interval's
+    outcome depends only on its ends, its end lines and the line at its
+    crossing, and the pieces are sorted at the end, so the envelope is the
+    one a depth-first search finds.  At most 2 * pieces + 1 probe points, in
+    one ``solve`` call per round.
     """
     lo, hi = float(lo), float(hi)
-    found, todo = [], [(lo, hi, solve(lo), solve(hi))]
+    found, todo = [], [(lo, hi, *solve([lo, hi]))]
     while todo:
-        a, b, left, right = todo.pop()
-        (s_l, c_l, _), (s_r, c_r, _) = left, right
-        if s_l == s_r:
-            # one line, or parallel lines: the higher one holds the interval
-            found.append((a, b, left if c_l >= c_r else right))
-            continue
-        x = (c_l - c_r) / (s_r - s_l)
-        if not (a + 1e-12 < x < b - 1e-12):
-            # the end lines cross at (or past) an end: the one higher midway holds it
-            m = 0.5 * (a + b)
-            found.append((a, b, left if s_l * m + c_l >= s_r * m + c_r else right))
-            continue
-        mid = solve(x)
-        if mid[0] * x + mid[1] > s_l * x + c_l + 1e-9:
-            todo += [(x, b, mid, right), (a, x, left, mid)]
-        else:
-            found += [(a, x, left), (x, b, right)]
+        probes = []
+        for a, b, left, right in todo:
+            (s_l, c_l, _), (s_r, c_r, _) = left, right
+            if s_l == s_r:
+                # one line, or parallel lines: the higher one holds the interval
+                found.append((a, b, left if c_l >= c_r else right))
+                continue
+            x = (c_l - c_r) / (s_r - s_l)
+            if not (a + 1e-12 < x < b - 1e-12):
+                # the end lines cross at (or past) an end: the one higher midway holds it
+                m = 0.5 * (a + b)
+                found.append((a, b, left if s_l * m + c_l >= s_r * m + c_r else right))
+                continue
+            probes.append((a, b, left, right, x))
+        todo = []
+        mids = solve([x for *_, x in probes]) if probes else ()
+        for (a, b, left, right, x), mid in zip(probes, mids):
+            if mid[0] * x + mid[1] > left[0] * x + left[1] + 1e-9:
+                todo += [(a, x, left, mid), (x, b, mid, right)]
+            else:
+                found += [(a, x, left), (x, b, right)]
     found.sort(key=lambda f: f[0])
     return PiecewiseFunction1D(lo, hi, [f[0] for f in found[1:]], [f[2] for f in found])
 
 
 def refine_constant(
-    fn: PiecewiseFunction1D, evaluator: Callable[[float], float]
+    fn: PiecewiseFunction1D, evaluator: Callable[[list[float]], Sequence[float]]
 ) -> PiecewiseFunction1D:
-    """Piecewise-constant function taking ``evaluator(midpoint)`` per piece of ``fn``.
+    """Piecewise-constant function taking the evaluator's value at each piece's midpoint.
 
-    Adjacent equal values merge; used to turn an objective envelope into the
-    piecewise-constant utility it induces.
+    ``evaluator(xs)`` gets the midpoints of all pieces of ``fn`` in one call
+    and returns one value per point.  Adjacent equal values merge; used to
+    turn an objective envelope into the piecewise-constant utility it induces.
     """
-    bps, pieces = [], []
-    for i in range(len(fn.pieces)):
-        a, b = fn.piece_bounds(i)
-        v = float(evaluator(0.5 * (a + b)))
-        if pieces:
-            bps.append(a)
-        pieces.append((0.0, v, None))
-    return PiecewiseFunction1D(fn.lo, fn.hi, bps, pieces)
+    bounds = [fn.piece_bounds(i) for i in range(len(fn.pieces))]
+    values = evaluator([0.5 * (a + b) for a, b in bounds])
+    pieces = [(0.0, float(v), None) for v in values]
+    return PiecewiseFunction1D(fn.lo, fn.hi, [a for a, _ in bounds[1:]], pieces)

@@ -8,11 +8,16 @@ scores the line ``S + rho * (k - S)``, so the optimal objective over rho in
 that k), which caps the number of envelope pieces at n/2 + 1.
 
 One DP serves both readers.  ``_Tables`` fills the best / notp / paired
-tables span by span with numpy, every cell of a span at once, and keeps
-value, pair count, a tie-break key and backpointers.  ``fold`` runs it once
-and reads the folding back by traceback; ``rho_breakpoints`` is one
-``piecewise.sweep_linear`` whose solver runs it at a rho and reads the
-optimum's (pairs, stacking) at the root cell, at most 2 * pieces + 1 times.
+tables span by span with numpy, every cell of a span at once, for a vector
+of rho values at once (a leading row axis; rows share no arithmetic, so each
+equals a run at its rho alone), and keeps value, pair count and a tie-break
+key, plus backpointers when a traceback will read them.  ``fold_batch`` runs
+it once for many rho and reads each folding back by traceback, and ``fold``
+is a batch of one.  ``rho_breakpoints`` is one ``piecewise.sweep_linear``
+whose solver runs the tables once per sweep round, a row per probe rho, and
+reads each optimum's (pairs, stacking) at the root cell: at most
+2 * pieces + 1 rows in all.  ``utility_breakpoints`` folds every piece
+midpoint in one ``fold_batch`` run.
 
 ``max_stack_by_size``, the older size-indexed DP (O(n^3 * K^2) on dicts),
 is no longer on the decompose path; it stays public as an independent
@@ -166,146 +171,155 @@ def fold_objective(s: RnaSequence, phi: Folding, rho: float, m: StackScores) -> 
 
 
 class _Tables:
-    """The span-vectorized folding DP at one rho.
+    """The span-vectorized folding DP at R values of rho at once.
 
-    Cells are 0-based (i, j = i + d).  For each span d every cell is filled at
-    once: first ``paired`` (i and j pair with each other), then ``notp`` (they
-    do not), then ``best``.  ``best`` and ``notp`` are stored by start index and
-    span, ``paired`` by end index and span, so the split candidates
-    best(i, t - 1) + paired(t, j) of all cells of one span are the two plain
-    slices ``best[:, :d - 2]`` and ``paired[d:, d - 1:1:-1]``.  Every cell does
-    the float operations of the scalar recurrence in the same order
-    (``v + rho``, ``pv + stackf * credit``, ``lv + rv``), so values are those of
-    the textbook loop bit for bit.
+    Cells are 0-based (i, j = i + d).  For each span d every cell of every
+    rho is filled at once: first ``paired`` (i and j pair with each other),
+    then ``notp`` (they do not), then ``best``.  ``best`` and ``notp`` are
+    stored by start index and span, ``paired`` by end index and span, so the
+    split candidates best(i, t - 1) + paired(t, j) of all cells of one span
+    are the two plain slices ``best[..., :d - 2]`` and
+    ``paired[..., d:, d - 1:1:-1]``.  Every cell does the float operations
+    of the scalar recurrence in the same order (``v + rho``,
+    ``pv + stackf * credit``, ``lv + rv``), with rho and ``stackf = 1 - rho``
+    as per-row columns, so each row's values are those of the textbook loop
+    at its rho, bit for bit, whatever the other rows hold.
 
-    Each table is one (3, n, n) array of layers value, pair count and a third
-    key (counts are exact in float64), so one numpy call moves all three; a
-    backpointer array goes with it: ``pb`` true when the inner pair (i+1, j-1)
-    is paired, ``nb`` the split offset t - i (0 when j is unpaired), ``bb``
-    true when ``best`` is ``paired``.  A cell takes the candidate of highest
-    value, then by pair count, then by the third key:
+    Each table is one (3, R, n, n) array of layers value, pair count and a
+    third key (counts are exact in float64), so one numpy call moves all
+    three.  A cell takes the candidate that is highest on value, then on the
+    count layer, then on the third key:
 
-    * ``lex`` (the rule of ``fold``): fewest pairs, then the lexicographically
-      smallest pair tuple.  The third key is minus the partner of the cell's
-      first base (-n when it is unpaired): a tuple whose first base pairs
-      sooner is smaller.  Where that still ties (only between splits of
-      ``notp``), the rows are kept in ``ties`` for ``pairs`` to settle.
+    * ``lex`` (the rule of ``fold``): fewest pairs, so the count layer holds
+      minus the pair count, then the lexicographically smallest pair tuple.
+      The third key is minus the partner of the cell's first base (-n when
+      it is unpaired): a tuple whose first base pairs sooner is smaller.
+      Where that still ties (only between splits of ``notp``), the cells are
+      kept in ``ties[k]`` (k the rho row) for ``pairs`` to settle.
+      Backpointers go with the tables, one (R, n, n) array each: ``pb`` true
+      when the inner pair (i+1, j-1) is paired, ``nb`` the split offset t - i
+      (0 when j is unpaired), ``bb`` true when ``best`` is ``paired``.
     * otherwise (the rule of ``rho_breakpoints``): most pairs, then most
       stacking, the third key.  At a tie in value the steeper line wins, as in
-      ``upper_envelope``.
+      ``upper_envelope``.  Only the root cell is read, so no backpointers
+      or ties are kept.
 
     Value, pair count and stacking all add over the parts of a folding, and
     the tuple order compares the parts left to right, so a choice made per
     cell is the choice at the root.
     """
 
-    def __init__(self, credits: np.ndarray, rho: float, lex: bool):
+    def __init__(self, credits: np.ndarray, rhos, lex: bool):
         n = len(credits)
+        rho = np.array(rhos, dtype=float)[:, None]  # (R, 1): one row per rho
+        R = len(rho)
         self.lex = lex
-        self.memo: dict[tuple, tuple] = {}
-        self.ties: dict[int, dict] = {}
-        stackf = 1.0 - rho
-        self.best, self.notp, self.paired = (np.zeros((3, n, n)) for _ in range(3))
+        self.memo: list[dict[tuple, tuple]] = [{} for _ in range(R)]
+        self.ties: list[dict[int, dict]] = [{} for _ in range(R)]
+        # what stacking on the inner pair adds to (value, count layer, key) of
+        # a cell, stack[:, k, i, d] for cell (i, i + d) of row k; the key (the
+        # stacking score) grows only under the rule of rho_breakpoints
+        stack = np.zeros((3, R, n, n))
+        np.multiply(1.0 - rho[:, :, None], credits, out=stack[0])
+        if not lex:
+            stack[2] = credits
+        # what a new pair adds; a lex key is then overwritten
+        grow = np.zeros((3, R, 1))
+        grow[0], grow[1] = rho, -1.0 if lex else 1.0
+        self.best, self.notp, self.paired = (np.zeros((3, R, n, n)) for _ in range(3))
         if lex:
             for table in (self.best, self.notp, self.paired):
                 table[2] = -n
-        self.bb, self.pb = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
-        self.nb = np.zeros((n, n), dtype=np.int32)
+            self.bb, self.pb = np.zeros((R, n, n), dtype=bool), np.zeros((R, n, n), dtype=bool)
+            self.nb = np.zeros((R, n, n), dtype=np.int32)
         B, N, P = self.best, self.notp, self.paired
         for d in range(MIN_SEP, n):
             r = n - d
             # paired(i, j): inner notp(i+1, j-1), or the stacked inner pair
-            cand = N[:, 1 : r + 1, d - 2]
+            cand = N[:, :, 1 : r + 1, d - 2]
             if d - 2 >= MIN_SEP:
-                credit = credits[:r, d]
-                stacked = P[:, d - 1 : n - 1, d - 2].copy()
-                stacked[0] += stackf * credit
-                if not lex:
-                    stacked[2] += credit
-                cand, self.pb[d:, d] = self._pick2(cand, stacked)
-            P[:, d:, d] = cand
-            P[0, d:, d] += rho
-            P[1, d:, d] += 1
+                stacked = P[:, :, d - 1 : n - 1, d - 2] + stack[:, :, :r, d]
+                cand, wins = _pick2(cand, stacked)
+                if lex:
+                    self.pb[:, d:, d] = wins
+            np.add(cand, grow, out=P[:, :, d:, d])
             if lex:
-                P[2, d:, d] = -np.arange(d, n)
+                P[2, :, d:, d] = -np.arange(d, n)
             # notp(i, j): j unpaired, or j paired with t for t in i+1 .. j-2
             if d == MIN_SEP:
-                N[:, :r, d] = B[:, :r, d - 1]
+                N[:, :, :r, d] = B[:, :, :r, d - 1]
             else:
-                right = P[:, d:, d - 1 : 1 : -1]
-                N[:, :r, d], self.nb[:r, d] = self._pick_split(d, B[:, :r], right)
+                right = P[:, :, d:, d - 1 : 1 : -1]
+                N[:, :, :r, d], split = self._pick_split(d, B[:, :, :r], right)
+                if lex:
+                    self.nb[:, :r, d] = split
             # best(i, j): notp or paired
-            B[:, :r, d], self.bb[:r, d] = self._pick2(N[:, :r, d], P[:, d:, d])
-
-    def _pick2(self, first, second):
-        """Per row, the winner of two (3, rows) candidates, and where ``second`` wins."""
-        (v1, c1, a1), (v2, c2, a2) = first, second
-        better_count = c2 < c1 if self.lex else c2 > c1
-        wins = (v2 > v1) | ((v2 == v1) & (better_count | ((c2 == c1) & (a2 > a1))))
-        return np.where(wins, second, first), wins
+            B[:, :, :r, d], wins = _pick2(N[:, :, :r, d], P[:, :, d:, d])
+            if lex:
+                self.bb[:, :r, d] = wins
 
     def _pick_split(self, d, left, right):
         """notp at span d, from best by start (``left``) and paired(t, j) for t = j-1 .. i+1.
 
         Column 0 is best(i, j-1) (j unpaired), column t - i adds best(i, t-1)
         and paired(t, j), left + right; under ``lex`` the third key is the
-        left part's alone.  Rows whose candidates still tie under ``lex`` are
-        kept in ``ties[d]``.
+        left part's alone.  Under ``lex`` the winning column is returned too,
+        and cells whose candidates still tie are kept in ``ties[k][d]``;
+        otherwise only the values are.
         """
-        r = left.shape[1]
-        block = np.empty((3, r, d - 1))
-        block[:, :, 0] = left[:, :, d - 1]
-        np.add(left[:, :, : d - 2], right, out=block[:, :, 1:])
+        R, r = left.shape[1:3]
+        block = np.empty((3, R, r, d - 1))
+        block[..., 0] = left[..., d - 1]
+        np.add(left[..., : d - 2], right, out=block[..., 1:])
         if self.lex:
-            block[2, :, 1:] = left[2, :, : d - 2]
+            block[2, ..., 1:] = left[2, ..., : d - 2]
         v, c, a = block
-        top = np.empty((3, r))
-        top[0] = v.max(axis=1)
-        tie = v == top[0, :, None]
-        if self.lex:
-            top[1] = np.where(tie, c, np.inf).min(axis=1)
-        else:
-            top[1] = np.where(tie, c, -np.inf).max(axis=1)
-        tie &= c == top[1, :, None]
-        top[2] = np.where(tie, a, -np.inf).max(axis=1)
-        tie &= a == top[2, :, None]
-        if self.lex:
-            rows = np.flatnonzero(tie.sum(axis=1) > 1)
-            if len(rows):
-                self.ties[d] = dict(zip(rows.tolist(), tie[rows]))
-        return top, tie.argmax(axis=1)
+        top = np.empty((3, R, r))
+        v.max(axis=-1, out=top[0])
+        tie = v == top[0, ..., None]
+        np.where(tie, c, -np.inf).max(axis=-1, out=top[1])
+        tie &= c == top[1, ..., None]
+        np.where(tie, a, -np.inf).max(axis=-1, out=top[2])
+        if not self.lex:
+            return top, None
+        tie &= a == top[2, ..., None]
+        ks, rows = np.nonzero(tie.sum(axis=-1) > 1)
+        for k, row, cols in zip(ks.tolist(), rows.tolist(), tie[ks, rows]):
+            self.ties[k].setdefault(d, {})[row] = cols
+        return top, tie.argmax(axis=-1)
 
-    def _options(self, cell):
-        """(leading pairs, sub-cells) of each folding ``cell`` may take.
+    def _options(self, k, cell):
+        """(leading pairs, sub-cells) of each folding ``cell`` of row ``k`` may take.
 
-        One option unless a ``notp`` cell is in ``ties``; the pair tuple of an
-        option is the concatenation of its parts, in sorted order.
+        One option unless a ``notp`` cell is in ``ties[k]``; the pair tuple of
+        an option is the concatenation of its parts, in sorted order.
         """
         kind, x, d = cell
         if kind == "p":  # stored by its end x
             i = x - d
-            inner = ("p", x - 1, d - 2) if self.pb[x, d] else ("n", i + 1, d - 2)
+            inner = ("p", x - 1, d - 2) if self.pb[k, x, d] else ("n", i + 1, d - 2)
             return [(((i + 1, x + 1),), (inner,))]
         if kind == "b":
-            return [((), (("p", x + d, d) if self.bb[x, d] else ("n", x, d),))]
-        tied = self.ties.get(d, {}).get(x)
-        cols = [int(self.nb[x, d])] if tied is None else np.flatnonzero(tied).tolist()
-        return [((), (("b", x, k - 1), ("p", x + d, d - k)) if k else
-                 (("b", x, d - 1),) if d else ()) for k in cols]
+            return [((), (("p", x + d, d) if self.bb[k, x, d] else ("n", x, d),))]
+        tied = self.ties[k].get(d, {}).get(x)
+        cols = [int(self.nb[k, x, d])] if tied is None else np.flatnonzero(tied).tolist()
+        return [((), (("b", x, j - 1), ("p", x + d, d - j)) if j else
+                 (("b", x, d - 1),) if d else ()) for j in cols]
 
-    def pairs(self, cell) -> tuple:
-        """Sorted 1-based pair tuple of a cell's folding, built once per cell.
+    def pairs(self, k, cell) -> tuple:
+        """Sorted 1-based pair tuple of a cell's folding in row ``k``, built once per cell.
 
-        Where the splits of a ``notp`` cell tie on all three keys, the
-        smallest of the options' tuples wins, as the cell-by-cell rule has it.
+        Needs ``lex``.  Where the splits of a ``notp`` cell tie on all three
+        keys, the smallest of the options' tuples wins, as the cell-by-cell
+        rule has it.
         """
-        memo, todo = self.memo, [cell]
+        memo, todo = self.memo[k], [cell]
         while todo:
             top = todo[-1]
             if top in memo:
                 todo.pop()
                 continue
-            options = self._options(top)
+            options = self._options(k, top)
             missing = [sub for _, subs in options for sub in subs if sub not in memo]
             if missing:
                 todo += missing
@@ -313,6 +327,16 @@ class _Tables:
             memo[todo.pop()] = min(
                 head + sum((memo[sub] for sub in subs), ()) for head, subs in options)
         return memo[cell]
+
+
+def _pick2(first, second):
+    """Per cell, the winner of two (3, R, cells) candidates, and where ``second`` wins.
+
+    ``second`` wins when it is higher on the first layer where the two differ.
+    """
+    gt, eq = second > first, second == first
+    wins = gt[0] | (eq[0] & (gt[1] | (eq[1] & gt[2])))
+    return np.where(wins, second, first), wins
 
 
 def _credits(s: RnaSequence, m: StackScores) -> np.ndarray:
@@ -331,7 +355,7 @@ def _credits(s: RnaSequence, m: StackScores) -> np.ndarray:
 
 
 def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:
-    """Optimal folding for one rho in [0, 1], with its objective.
+    """Optimal folding for one rho in [0, 1], with its objective: ``fold_batch`` of one.
 
     Interval DP with best / notp / paired tables so that stacking credit
     lands exactly when adjacent nesting occurs, run span by span in numpy
@@ -351,13 +375,24 @@ def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:
     The pair tuple of a split is the tuple of its left part followed by the
     right part's, so comparing options this way is the cell-by-cell rule.
     """
-    if not 0.0 <= rho <= 1.0:
+    return fold_batch(s, [rho], m)[0]
+
+
+def fold_batch(s: RnaSequence, rhos, m: StackScores) -> list[tuple[Folding, float]]:
+    """``fold`` at each rho of ``rhos``, in one run of the tables with a row per rho.
+
+    Each row's folding and objective are what ``fold`` gives at its rho, bit
+    for bit: rows share no arithmetic, and each has its own ties and
+    traceback memo.
+    """
+    if not all(0.0 <= rho <= 1.0 for rho in rhos):
         raise ValueError("rho must lie in [0, 1]")
     n = len(s)
     if n < 1:
         raise ValueError("sequence must be nonempty")
-    t = _Tables(_credits(s, m), rho, lex=True)
-    return Folding(t.pairs(("b", 0, n - 1))), float(t.best[0, 0, n - 1])
+    t = _Tables(_credits(s, m), rhos, lex=True)
+    root = ("b", 0, n - 1)
+    return [(Folding(t.pairs(k, root)), v) for k, v in enumerate(t.best[0, :, 0, n - 1].tolist())]
 
 
 def max_stack_by_size(s: RnaSequence, m: StackScores) -> list[tuple[int, float]]:
@@ -423,23 +458,23 @@ def rho_breakpoints(s: RnaSequence, m: StackScores) -> PiecewiseFunction1D:
     One line per achievable pair count k: slope k - stack_k, intercept
     stack_k, tag k, where stack_k is the best stacking score with k pairs.
     Piece count is at most floor(n/2) + 1.  The envelope is one
-    ``sweep_linear`` whose solver runs the folding DP at one rho and reads
-    the optimum's (pairs, stacking) at the root cell; no traceback.  Among
-    foldings of equal value the DP keeps the most pairs (the steeper line,
-    which ``upper_envelope`` also picks at a tie) and then the most stacking
-    (at rho = 1, where every folding with k pairs scores k, that is the k
-    line itself).  At most 2 * pieces + 1 DP runs, all on one credit table.
+    ``sweep_linear`` whose solver runs the folding DP once per sweep round,
+    with one row per probe rho, and reads each optimum's (pairs, stacking)
+    at the root cell; no backpointers, no traceback.  Among foldings of
+    equal value the DP keeps the most pairs (the steeper line, which
+    ``upper_envelope`` also picks at a tie) and then the most stacking (at
+    rho = 1, where every folding with k pairs scores k, that is the k line
+    itself).  At most 2 * pieces + 1 probe rows, all on one credit table.
     """
     if len(s) < 1:
         raise ValueError("sequence must be nonempty")
     credits = _credits(s, m)
     n = len(s)
 
-    def solve(rho):
-        t = _Tables(credits, rho, lex=False)
-        k, stack = int(t.best[1, 0, n - 1]), float(t.best[2, 0, n - 1])
-        line = Line1D(slope=k - stack, intercept=stack, tag=k)
-        return line.slope, line.intercept, line.tag
+    def solve(rhos):
+        root = _Tables(credits, rhos, lex=False).best[1:, :, 0, n - 1].tolist()
+        lines = [Line1D(slope=int(k) - stack, intercept=stack, tag=int(k)) for k, stack in zip(*root)]
+        return [(line.slope, line.intercept, line.tag) for line in lines]
 
     return sweep_linear(solve, 0.0, 1.0)
 
@@ -457,11 +492,12 @@ def utility_breakpoints(
 ) -> PiecewiseFunction1D:
     """Piecewise-constant pair utility of the folding algorithm against a truth.
 
-    Evaluated through ``fold`` at each envelope piece's midpoint so tie-breaks
-    match the algorithm; adjacent equal pieces merge.
+    Evaluated through ``fold_batch`` at every envelope piece's midpoint, in
+    one run, so tie-breaks match the algorithm; adjacent equal pieces merge.
     """
     env = rho_breakpoints(s, m)
-    return refine_constant(env, lambda rho: pair_utility(fold(s, rho, m)[0], truth))
+    return refine_constant(
+        env, lambda rhos: [pair_utility(phi, truth) for phi, _ in fold_batch(s, rhos, m)])
 
 
 def sequence_from_fasta(text: str) -> RnaSequence:

@@ -5,8 +5,8 @@ The pairwise aligner maximizes
     matches - rho1 * mismatches - rho2 * indels - rho3 * gap_runs
 
 with a three-state (Gotoh) dynamic program, swept one anti-diagonal at a
-time with numpy over a leading batch axis: ``align_batch`` aligns B pairs
-under one set of penalties in one sweep, padded to the batch's longest
+time with numpy over a leading batch axis: ``align_batch`` aligns B pairs,
+each under its own penalties, in one sweep, padded to the batch's longest
 lengths, and ``affine_align`` is a batch of one.  Padding is exact because a
 cell reads only cells above and to its left, so padded cells never reach a
 pair's own table.  The sweep keeps three score diagonals (O(B * (n + m))
@@ -21,7 +21,8 @@ one batch.  On the one-dimensional
 indel slice (rho1 = rho3 = 0) the optimal objective is the upper envelope of
 one line per reachable alignment, and ``indel_breakpoints`` computes that
 envelope exactly with ``piecewise.sweep_linear`` (Eisner–Severance ray
-search).
+search), aligning the pair at every probe penalty of a sweep round in one
+``align_batch`` call.
 
 ``gen_lb_sequences`` builds the sequence-pair family whose thresholded
 utilities realize every sign pattern, the worst case for this family.
@@ -186,23 +187,31 @@ def affine_align(
     TRACEBACK_BUDGET`` (10^8 bytes), i.e. 10,000, so one pair always fits the
     budget; lengths are checked before anything is allocated.
     """
-    return align_batch(((s1, s2),), p, max_len)[0]
+    return align_batch(((s1, s2),), (p,), max_len)[0]
 
 
 def align_batch(
-    pairs: Seq[tuple[Sequence, Sequence]], p: AffineParams, max_len: int = MAX_LEN
+    pairs: Seq[tuple[Sequence, Sequence]], params: Seq[AffineParams], max_len: int = MAX_LEN
 ) -> list[tuple[Alignment, AlignmentFeatures, float]]:
-    """Optimal affine-gap alignments of many sequence pairs under one ``p``.
+    """Optimal affine-gap alignments of many sequence pairs, one ``AffineParams`` per pair.
 
     Returns ``(alignment, features, objective)`` per pair, in input order,
-    each equal to what the pair would get on its own (same tie-breaks as
-    ``affine_align``).  Every length is checked against ``max_len`` first;
-    then the pairs are cut, in order, into chunks whose traceback
-    ``TRACEBACK_BYTES_PER_CELL * B * N * M`` fits ``TRACEBACK_BUDGET`` (B
-    pairs padded to the chunk's longest N and M; a pair too large on its own
-    forms its own chunk), and each chunk is one ``_sweep``.  The chunks are
-    planned before any table is allocated.
+    each equal to what ``affine_align`` gives the pair under its own
+    parameters, bit for bit (same scores, same tie-breaks).  A pair may
+    appear several times under different parameters: that is how a
+    parameter sweep solves all its probe points in one call.  The penalties
+    enter the sweep as per-pair columns, so one set shared by every pair
+    costs what it did as a scalar.
+
+    Every length is checked against ``max_len`` first; then the pairs are
+    cut, in order, into chunks whose traceback ``TRACEBACK_BYTES_PER_CELL *
+    B * N * M`` fits ``TRACEBACK_BUDGET`` (B pairs padded to the chunk's
+    longest N and M; a pair too large on its own forms its own chunk), and
+    each chunk is one ``_sweep``.  The chunks are planned before any table
+    is allocated.
     """
+    if len(params) != len(pairs):
+        raise ValueError("need one AffineParams per pair")
     sizes = [(len(s1), len(s2)) for s1, s2 in pairs]
     for n, m in sizes:
         if n == 0 or m == 0:
@@ -220,12 +229,12 @@ def align_batch(
     cuts.append(len(sizes))
     out = []
     for lo, hi in zip(cuts, cuts[1:]):
-        out += _sweep(pairs[lo:hi], p)
+        out += _sweep(pairs[lo:hi], params[lo:hi])
     return out
 
 
 def _sweep(
-    pairs: Seq[tuple[Sequence, Sequence]], p: AffineParams
+    pairs: Seq[tuple[Sequence, Sequence]], params: Seq[AffineParams]
 ) -> list[tuple[Alignment, AlignmentFeatures, float]]:
     """One anti-diagonal Gotoh sweep over B pairs padded to a common N x M.
 
@@ -234,8 +243,8 @@ def _sweep(
     computed at once from a (target state x D/P/Q predecessor x pair x cell)
     candidate block, with exactly the float operations of the cell-by-cell
     recurrence (one max, then add the substitution score; predecessor minus
-    the open or extend penalty).  Scores are therefore bit-identical to a
-    row-by-row loop, and so are ties.  The predecessor is the first candidate
+    the open or extend penalty, each pair its own).  Scores are therefore
+    bit-identical to a row-by-row loop, and so are ties.  The predecessor is the first candidate
     equal to the block's max, which is the D > P > Q priority that ``argmax``
     would give; two comparisons with the max find it (numpy's ``argmax`` over
     a length-3 axis costs a call per cell).  The traceback stores, per target
@@ -259,10 +268,12 @@ def _sweep(
     ms = [len(s2) for _, s2 in pairs]
     n, m = max(ns), max(ms)
 
-    open_pen = p.rho2 + p.rho3
-    ext_pen = p.rho2
-    # end gaps: -(open + (k - 1) * ext) for a run of k >= 1 letters
-    edge = (-(open_pen + np.arange(max(n, m)) * ext_pen)).tolist()
+    # per-pair penalty columns, shape (B, 1): the scalar operations, row by row
+    rho1, rho2, rho3 = np.array([(p.rho1, p.rho2, p.rho3) for p in params]).T[:, :, None]
+    open_pen = rho2 + rho3
+    ext_pen = rho2
+    # edge[k, e]: end gap of e + 1 letters for pair k, -(open + e * ext)
+    edge = -(open_pen + np.arange(max(n, m)) * ext_pen)
     codes: dict[str, int] = {}
     a = np.full((B, n), -2)
     b = np.full((B, n + m + n), -1)
@@ -273,14 +284,14 @@ def _sweep(
     facing = np.ndarray((n + m - 1, B, n), b.dtype, b, n * b.itemsize,
                         (b.itemsize, b.strides[0], -b.itemsize))
     # subtracted from the (D, P, Q) predecessors of P, then of Q
-    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])[:, :, None, None]
+    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])
 
     # ring[d % 3, state, k, i] holds cell (i, d - i) of pair k; one spare
     # column lets the P and Q predecessors of a diagonal (offsets i - 1 and i)
     # be one window.
     ring = np.full((3, 3, B, n + 2), NEG)
     ring[0, _D, :, 0] = 0.0
-    ring[1, _Q, :, 0] = ring[1, _P, :, 1] = edge[0]
+    ring[1, _Q, :, 0] = ring[1, _P, :, 1] = edge[:, 0]
     s_slot, s_state, s_pair, s_cell = ring.strides
     window = np.ndarray((3, 2, 3, B, n + 1), ring.dtype, ring, 0,
                         (s_slot, s_cell, s_state, s_pair, s_cell))
@@ -300,11 +311,11 @@ def _sweep(
         if d == 3:  # the origin's slot moves on to cell (0, 3)
             ring[0, _D, :, 0] = NEG
         if d <= m:  # cell (0, d)
-            ring[cur, _Q, :, 0] = edge[d - 1]
+            ring[cur, _Q, :, 0] = edge[:, d - 1]
         if d <= n:  # cell (d, 0)
-            ring[cur, _P, :, d] = edge[d - 1]
+            ring[cur, _P, :, d] = edge[:, d - 1]
         if (d - 2) % _SUB_ROWS == 0:
-            sub = np.where(facing[d - 2:d - 2 + _SUB_ROWS] == a, 1.0, -p.rho1)
+            sub = np.where(facing[d - 2:d - 2 + _SUB_ROWS] == a, 1.0, -rho1)
             first = d
         lo, hi = max(1, d - m), min(n, d - 1)
         w = hi - lo + 1
@@ -324,7 +335,7 @@ def _sweep(
 
     cells = memoryview(trace)
     out = []
-    for k, (s1, s2) in enumerate(pairs):
+    for k, ((s1, s2), p) in enumerate(zip(pairs, params)):
         here = base if k == 0 else [o + k * w for o, w in zip(base, widths)]
         state = finals[k].index(max(finals[k]))  # index() returns the first, i.e. D > P > Q
         aln = _trace_back(s1, s2, cells, here, state)
@@ -577,7 +588,7 @@ def progressive_align(
             levels.append([])
         levels[h - 1].append(node)
     for level in levels:
-        alns = align_batch([(cons[id(v.left)], cons[id(v.right)]) for v in level], p)
+        alns = align_batch([(cons[id(v.left)], cons[id(v.right)]) for v in level], [p] * len(level))
         for v, (aln, _, _) in zip(level, alns):
             pair[id(v)] = aln
             cons[id(v)] = consensus(aln)
@@ -604,6 +615,11 @@ def progressive_align(
     return Alignment(rows[s.id] for s in seqs)
 
 
+def _align_at_indel_penalties(s1: Sequence, s2: Sequence, rhos: Seq[float]):
+    """``affine_align`` of one pair on the indel slice at each of ``rhos``, as one batch."""
+    return align_batch([(s1, s2)] * len(rhos), [AffineParams(0.0, rho, 0.0) for rho in rhos])
+
+
 def _traceback_tag(aln: Alignment) -> int:
     return zlib.crc32("\n".join("".join(r) for r in aln.rows).encode())
 
@@ -614,18 +630,18 @@ def indel_breakpoints(
     """Exact optimal-objective envelope over the indel penalty in [0, rho_max].
 
     Each alignment contributes the line ``matches - rho * indels``; the
-    optimum is their upper envelope, found by ``sweep_linear`` with one
-    alignment per call.  Breakpoints are exact ratios of integer feature
-    counts.
+    optimum is their upper envelope, found by ``sweep_linear``.  Each sweep
+    round is one ``align_batch`` call that aligns the pair once per probe
+    point.  Breakpoints are exact ratios of integer feature counts.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
     if len(s1) > max_len or len(s2) > max_len:
         raise ValueError(f"sequence longer than configured max {max_len}")
 
-    def solve(rho):
-        aln, f, _ = affine_align(s1, s2, AffineParams(0.0, rho, 0.0))
-        return -float(f.indels), float(f.matches), _traceback_tag(aln)
+    def solve(rhos):
+        alns = _align_at_indel_penalties(s1, s2, rhos)
+        return [(-float(f.indels), float(f.matches), _traceback_tag(aln)) for aln, f, _ in alns]
 
     return sweep_linear(solve, 0.0, rho_max)
 
@@ -641,13 +657,13 @@ def utility_breakpoints(
 
     Refines the objective envelope; each piece's value is the Q-score of the
     aligner's actual output at the piece midpoint, so tie-breaking matches the
-    algorithm.  Adjacent equal-valued pieces merge.
+    algorithm.  All midpoints are aligned in one ``align_batch`` call.
+    Adjacent equal-valued pieces merge.
     """
     env = indel_breakpoints(s1, s2, rho_max, max_len=max_len)
 
-    def util(rho):
-        aln, _, _ = affine_align(s1, s2, AffineParams(0.0, rho, 0.0))
-        return q_score(aln, reference)
+    def util(rhos):
+        return [q_score(aln, reference) for aln, _, _ in _align_at_indel_penalties(s1, s2, rhos)]
 
     return refine_constant(env, util)
 

@@ -4,15 +4,18 @@
 (value, fewest pairs, smallest tuple); ``rho_breakpoints`` builds its envelope
 from the size-indexed ``max_stack_by_size`` and ``upper_envelope``.  They are
 kept verbatim so the tests can require the span-vectorized kernel to return
-the same ``Folding``, bit-identical objectives and equal envelopes.  This is a
-reference only; nothing under ``src/`` imports it.
+the same ``Folding``, bit-identical objectives and equal envelopes.  The
+envelope runs on the frozen depth-first sweep of ``sweep_reference``, so no
+live search kernel takes part.  This is a reference only; nothing under
+``src/`` imports it.
 """
 
 import math
 from typing import Sequence
 
-from algotune.piecewise import Line1D, PiecewiseFunction1D, sweep_linear
+from algotune.piecewise import Line1D, PiecewiseFunction1D
 from algotune.rnafold import MIN_SEP, Folding, RnaSequence, StackScores
+from sweep_reference import sweep_linear
 
 
 def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:

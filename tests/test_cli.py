@@ -324,6 +324,10 @@ def test_learn_run_reproducible(tmp_path, capsys):
         ({"family": "spa_overfit", "params": {"values": [float("-inf")]}}, "params.values must all be finite"),
         ({"family": "nam_overfit", "params": {"n_profiles": 0}}, "n_profiles must be >= 1"),
         ({"family": "spa_erm", "n_schedule": []}, "n_schedule must list at least one"),
+        ({"family": "spa_overfit", "params": {"fallback": "nan"}}, "params.fallback must be finite"),
+        ({"family": "spa_overfit", "params": {"fallback": 1e400}}, "params.fallback must be finite"),
+        ({"family": "spa_erm", "params": {"n_low": 0, "n_high": 0}}, "params.n_low and params.n_high"),
+        ({"family": "spa_overfit", "params": {"n_low": -1}}, "params.n_low and params.n_high"),
     ],
 )
 def test_learn_run_rejects_bad_configs(tmp_path, capsys, config, message):

@@ -13,7 +13,6 @@ import random
 import pytest
 
 import algotune.rnafold as rnafold
-from algotune.piecewise import refine_constant
 from algotune.rnafold import (
     Folding,
     RnaSequence,
@@ -24,6 +23,7 @@ from algotune.rnafold import (
     utility_breakpoints,
 )
 import fold_reference as ref
+from sweep_reference import refine_constant
 
 KINDS = ("watson_crick", "zero", "integer", "float")
 
@@ -73,12 +73,12 @@ def test_utility_json_matches_the_frozen_dp():
 
 
 def test_envelope_solves_at_most_two_per_piece_plus_one(monkeypatch):
-    solves = []
+    solves = []  # probe points: one per row of each DP run
 
     class Counted(rnafold._Tables):
-        def __init__(self, credits, rho, lex):
-            solves.append(rho)
-            super().__init__(credits, rho, lex)
+        def __init__(self, credits, rhos, lex):
+            solves.extend(rhos)
+            super().__init__(credits, rhos, lex)
 
     monkeypatch.setattr(rnafold, "_Tables", Counted)
     for _, s, m in corpus(seed=13, count=80):

@@ -27,16 +27,21 @@ def max_line(lines, calls=None):
     return solve
 
 
+def each(solve):
+    """The batch solver ``sweep_linear`` takes, from a solver of one point."""
+    return lambda xs: [solve(x) for x in xs]
+
+
 def test_tie_at_lo_goes_to_the_right_adjacent_line():
     flat, rising, falling = Line1D(0.0, 1.0, 0), Line1D(1.0, 1.0, 1), Line1D(-2.0, 2.5, 2)
     # flat and rising tie at lo = 0; rising is the max just right of it
-    fn = sweep_linear(max_line([flat, rising]), 0.0, 1.0)
+    fn = sweep_linear(each(max_line([flat, rising])), 0.0, 1.0)
     assert fn.breakpoints == [] and fn.pieces == [(1.0, 1.0, 1)]
     # a solver that returns the left line at the tie still loses the piece
-    fn = sweep_linear(lambda x: (0.0, 1.0, 0) if x == 0.0 else (1.0, 1.0, 1), 0.0, 1.0)
+    fn = sweep_linear(each(lambda x: (0.0, 1.0, 0) if x == 0.0 else (1.0, 1.0, 1)), 0.0, 1.0)
     assert fn.breakpoints == [] and fn.pieces == [(1.0, 1.0, 1)]
     # falling ties nothing at lo and holds [0, 0.5); rising takes over after
-    fn = sweep_linear(max_line([flat, rising, falling]), 0.0, 1.0)
+    fn = sweep_linear(each(max_line([flat, rising, falling])), 0.0, 1.0)
     assert fn.breakpoints == [0.5]
     assert [p[2] for p in fn.pieces] == [2, 1]
 
@@ -44,7 +49,7 @@ def test_tie_at_lo_goes_to_the_right_adjacent_line():
 def test_tie_interval_of_identical_lines_takes_the_lowest_tag():
     lines = [Line1D(0.0, 1.0, 5), Line1D(0.0, 1.0, 2), Line1D(0.0, 1.0, 7), Line1D(2.0, -0.5, 3)]
     calls = []
-    fn = sweep_linear(max_line(lines, calls), 0.0, 1.0)
+    fn = sweep_linear(each(max_line(lines, calls)), 0.0, 1.0)
     assert fn.breakpoints == [0.75]
     assert fn.pieces == [(0.0, 1.0, 2), (2.0, -0.5, 3)]
     assert len(calls) <= 2 * len(fn.pieces) + 1
@@ -52,37 +57,37 @@ def test_tie_interval_of_identical_lines_takes_the_lowest_tag():
 
 def test_parallel_end_lines_keep_the_higher_one():
     lines = [Line1D(1.0, 0.0, 0), Line1D(1.0, 0.25, 1)]
-    fn = sweep_linear(lambda x: (1.0, 0.0, 0) if x < 0.5 else (1.0, 0.25, 1), 0.0, 1.0)
+    fn = sweep_linear(each(lambda x: (1.0, 0.0, 0) if x < 0.5 else (1.0, 0.25, 1)), 0.0, 1.0)
     assert fn.pieces == [(1.0, 0.25, 1)]
     assert fn == upper_envelope(lines, 0.0, 1.0)
 
 
 def test_identical_end_lines_keep_the_left_tag():
     # e.g. two co-optimal alignments with equal feature counts
-    fn = sweep_linear(lambda x: (1.0, 0.0, 0 if x < 0.5 else 1), 0.0, 1.0)
+    fn = sweep_linear(each(lambda x: (1.0, 0.0, 0 if x < 0.5 else 1)), 0.0, 1.0)
     assert fn.pieces == [(1.0, 0.0, 0)]
 
 
 def test_line_within_1e9_of_the_crossing_does_not_split():
     falling, rising = Line1D(-1.0, 1.0, 0), Line1D(1.0, 0.0, 1)
     near = Line1D(0.0, 0.5 + 2e-10, 2)  # above the crossing at 0.5, by less than 1e-9
-    fn = sweep_linear(max_line([falling, rising, near]), 0.0, 1.0)
+    fn = sweep_linear(each(max_line([falling, rising, near])), 0.0, 1.0)
     assert fn.breakpoints == [0.5]
     assert [p[2] for p in fn.pieces] == [0, 1]
     far = Line1D(0.0, 0.5 + 1e-6, 2)
-    fn = sweep_linear(max_line([falling, rising, far]), 0.0, 1.0)
+    fn = sweep_linear(each(max_line([falling, rising, far])), 0.0, 1.0)
     assert [p[2] for p in fn.pieces] == [0, 2, 1]
 
 
 def test_solver_calls_within_two_per_piece_on_indel_pairs(monkeypatch):
-    calls = []
-    align = seqalign.affine_align
+    calls = []  # probe points: one per pair of each batch
+    align = seqalign.align_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args[2].rho2)
-        return align(*args, **kwargs)
+    def counted(pairs, params, *args, **kwargs):
+        calls.extend(p.rho2 for p in params)
+        return align(pairs, params, *args, **kwargs)
 
-    monkeypatch.setattr(seqalign, "affine_align", counted)
+    monkeypatch.setattr(seqalign, "align_batch", counted)
     rng = random.Random(20)
     for _ in range(50):
         alphabet = rng.choice(["AC", "ACG", "ACGT"])

@@ -46,7 +46,7 @@ def test_batch_matches_reference_pair_by_pair():
         batch = [(random_seq(rng, alphabet, 1, 40), random_seq(rng, alphabet, 1, 40))
                  for _ in range(int(rng.integers(1, 9)))]
         p = penalties(rng, k)
-        got = align_batch(batch, p)
+        got = align_batch(batch, [p] * len(batch))
         assert len(got) == len(batch)
         for (s1, s2), (aln, feats, obj) in zip(batch, got):
             want = reference_align(s1, s2, p)
@@ -65,7 +65,7 @@ def test_batch_pairs_of_very_different_shapes():
                  (random_seq(rng, alphabet, 1, 1), random_seq(rng, alphabet, 1, 1)),
                  (random_seq(rng, alphabet, 35, 40), random_seq(rng, alphabet, 35, 40))]
         for p in (AffineParams(), AffineParams(1.0, 2.0, 0.0), AffineParams(0.3, 0.2, 0.7)):
-            for (s1, s2), got in zip(batch, align_batch(batch, p)):
+            for (s1, s2), got in zip(batch, align_batch(batch, [p] * len(batch))):
                 want = reference_align(s1, s2, p)
                 assert (got[0].rows, got[1], got[2]) == (want[0].rows, want[1], want[2])
 
@@ -110,9 +110,9 @@ def test_level_split_into_budget_chunks_gives_the_same_alignment(monkeypatch):
     chunks = []
     sweep = seqalign._sweep
 
-    def counted(pairs, p):
+    def counted(pairs, params):
         chunks.append(len(pairs))
-        return sweep(pairs, p)
+        return sweep(pairs, params)
 
     monkeypatch.setattr(seqalign, "_sweep", counted)
     # room for two 24 x 24 tracebacks per chunk
@@ -129,7 +129,7 @@ def test_batch_over_max_len_rejected_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"configured max {MAX_LEN}"):
-            align_batch(batch, AffineParams())
+            align_batch(batch, [AffineParams()] * len(batch))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
