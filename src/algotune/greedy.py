@@ -3,18 +3,28 @@
 Both families have piecewise-constant value as a function of the exponent
 parameter: the output can only change where two items (or two vertices at
 some pair of degrees) swap rank in the greedy score.  Each run also yields
-the interval of rho on which its comparisons keep their outcomes, and the
+the interval of rho on which its output is certain to stay, and the
 breakpoint functions cover [0, rho_max] with those certified intervals
 (``piecewise.sweep_constant``), at a cost set by the number of intervals.
+
+The knapsack packing tests each fit on exact sums (sizes and capacity as
+integers over one common power of two) and totals the packed values with
+``math.fsum``, so fit decisions and value depend on the packed set alone,
+not on the order it was packed in.  A knapsack run is therefore certified
+on the swaps that can change a fit decision, about one run per piece.  An
+MWIS run is certified on every comparison of its rounds.
+
 A rho (for a decomposition, rho_max) at which some size ** rho, or
 (1 + degree) ** rho, is not a positive finite float is rejected with
-ValueError before any run.
+ValueError before any run, as are non-finite knapsack values, sizes or
+capacity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +41,8 @@ class KnapsackInstance:
     def __post_init__(self):
         if len(self.values) != len(self.sizes) or not self.values:
             raise ValueError("need equally many positive values and sizes")
+        if not all(map(math.isfinite, (*self.values, *self.sizes, self.capacity))):
+            raise ValueError("values, sizes and capacity must be finite")
         if any(v <= 0 for v in self.values) or any(s <= 0 for s in self.sizes):
             raise ValueError("values and sizes must be positive")
         if self.capacity <= 0:
@@ -39,6 +51,14 @@ class KnapsackInstance:
     @property
     def n(self):
         return len(self.values)
+
+    @cached_property
+    def exact_sizes(self) -> tuple[tuple[int, ...], int]:
+        """Sizes and capacity as integers over one common power of two."""
+        ratios = [x.as_integer_ratio() for x in (*self.sizes, self.capacity)]
+        den = max(d for _, d in ratios)
+        *sizes, capacity = (num * (den // d) for num, d in ratios)
+        return tuple(sizes), capacity
 
     @classmethod
     def from_csv(cls, text: str, capacity: float) -> "KnapsackInstance":
@@ -55,18 +75,18 @@ class KnapsackInstance:
 
 def _density_packing(inst: KnapsackInstance, rho: float):
     """Pack greedily by v/s^rho: ``(order, chosen, total)``.  sorted() is stable,
-    so ties keep index order, and rho = 0 orders by value."""
+    so ties keep index order, and rho = 0 orders by value.  Fits are tested on
+    exact sums of sizes and the total is the ``math.fsum`` of the packed
+    values, so both depend on the packed set alone, not on the packing order."""
     v, s = inst.values, inst.sizes
     order = sorted(range(inst.n), key=lambda i: -v[i] / s[i] ** rho)
+    sizes, room = inst.exact_sizes
     chosen: set[int] = set()
-    used = 0.0
-    total = 0.0
     for i in order:
-        if used + s[i] <= inst.capacity:
+        if sizes[i] <= room:
             chosen.add(i)
-            used += s[i]
-            total += v[i]
-    return order, chosen, total
+            room -= sizes[i]
+    return order, chosen, math.fsum(v[i] for i in chosen)
 
 
 def knapsack_greedy(inst: KnapsackInstance, rho: float) -> tuple[set[int], float]:
@@ -86,31 +106,55 @@ def knapsack_greedy(inst: KnapsackInstance, rho: float) -> tuple[set[int], float
 def knapsack_breakpoints(inst: KnapsackInstance, rho_max: float) -> PiecewiseFunction1D:
     """Piecewise-constant greedy value over rho in [0, rho_max].
 
-    Items i < j swap density rank at ln(v_i/v_j) / ln(s_i/s_j).  A run
-    certifies where every packed item stays ahead of each item after it: the
-    packing sequence, and so the float total, is fixed there.
+    Items i < j swap density rank at ln(v_i/v_j) / ln(s_i/s_j).  The value
+    depends only on the packed set P, and P is the greedy output at every
+    rho where each unpacked item b that could fit at all still finds the
+    items of P ahead of it too full: each item of P then fits in turn, since
+    all of P fits.  Items of P moving ahead of b only fill it more, so a run
+    certifies up to the first crossing, on each side, at which the items of P
+    that have fallen behind b free enough exact space for b to fit.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
     check_power((min(inst.sizes), max(inst.sizes)), rho_max, "size")
-    n, v, s = inst.n, inst.values, inst.sizes
+    n = inst.n
+    v, s = np.array(inst.values), np.array(inst.sizes)
+    i, j = np.triu_indices(n, 1)
+    # math.log, not np.log: numpy's SIMD log may round differently across machines;
+    # a ratio past the float range is inf, silently, as Python's float division gives it
+    with np.errstate(over="ignore"):
+        ls, lv = (np.array(list(map(math.log, (x[i] / x[j]).tolist()))) for x in (s, v))
     # a stays ahead of b while above[a, b] < rho < below[a, b]
     below, above = np.full((n, n), math.inf), np.full((n, n), -math.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ls = math.log(s[i] / s[j])
-            if ls:  # the bigger item leads below the swap point
-                big, small = (i, j) if ls > 0 else (j, i)
-                below[big, small] = above[small, big] = math.log(v[i] / v[j]) / ls
+    swap = ls != 0  # the bigger item leads below the swap point
+    big, small = np.where(ls > 0, i, j)[swap], np.where(ls > 0, j, i)[swap]
+    below[big, small] = above[small, big] = lv[swap] / ls[swap]
+    sizes, capacity = inst.exact_sizes
+    # exact integer sums; int64 when no sum of sizes can overflow it
+    size = np.array(sizes, dtype=np.int64 if sum(sizes) + capacity < 2**63 else object)
+    could_fit = size <= capacity
     tv = _density_packing(inst, 0.0)[2]
+
+    def first_fit(cross, sa, need):
+        """Least entry of ``cross`` (one column per b) at which the sizes ``sa``
+        of the entries up to it in its column add up to that column's ``need``."""
+        k = np.argsort(cross, axis=0)
+        freed = np.cumsum(sa[k], axis=0) >= need
+        return np.take_along_axis(cross, k, axis=0)[freed].min(initial=math.inf)
 
     def run(rho):
         order, packed, td = _density_packing(inst, rho)
         rank = np.argsort(order)
-        idx = list(packed)
-        later = rank[idx, None] < rank
-        lo = above[idx][later].max(initial=-math.inf)
-        return (td if td > tv else tv), lo, below[idx][later].min(initial=math.inf)
+        in_p = np.zeros(n, dtype=bool)
+        in_p[list(packed)] = True
+        a, b = np.flatnonzero(in_p), np.flatnonzero(~in_p & could_fit)
+        ahead = rank[a, None] < rank[b]
+        # space that items of P ahead of b must free before b fits
+        need = (size[a, None] * ahead).sum(axis=0) + size[b] - capacity
+        rows = np.ix_(a, b)
+        r = first_fit(np.where(ahead, below[rows], math.inf), size[a], need)
+        l = -first_fit(np.where(ahead, -above[rows], math.inf), size[a], need)
+        return (td if td > tv else tv), l, r
 
     return sweep_constant(run, 0.0, rho_max)
 

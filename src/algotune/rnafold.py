@@ -35,13 +35,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .piecewise import (  # noqa: F401  (upper_envelope: see the module docstring)
-    Line1D,
     PiecewiseFunction1D,
     refine_constant,
     sweep_linear,
@@ -126,6 +126,11 @@ class StackScores:
     """Score table keyed by (S[i], S[j], S[i-1], S[j+1]); missing entries are 0."""
 
     table: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the DP weighs each credit by 1 - rho, and 0 * inf is NaN at rho = 1
+        if not all(map(math.isfinite, self.table.values())):
+            raise ValueError("stacking scores must be finite")
 
     def get(self, b1, b2, b3, b4) -> float:
         return self.table.get((b1, b2, b3, b4), 0.0)
@@ -351,6 +356,9 @@ def _credits(s: RnaSequence, m: StackScores) -> np.ndarray:
     credits = np.zeros((n, n))
     for d in range(MIN_SEP, n):
         credits[: n - d, d] = table[c[1 : n - d + 1], c[d - 1 : n - 1], c[: n - d], c[d:]]
+    # a folding has fewer than n pairs, each earning one credit: this bounds every DP value
+    if not math.isfinite(n * (1.0 + float(np.abs(credits).max(initial=0.0)))):
+        raise ValueError("stacking scores too large: a folding's total leaves the float range")
     return credits
 
 
@@ -473,8 +481,7 @@ def rho_breakpoints(s: RnaSequence, m: StackScores) -> PiecewiseFunction1D:
 
     def solve(rhos):
         root = _Tables(credits, rhos, lex=False).best[1:, :, 0, n - 1].tolist()
-        lines = [Line1D(slope=int(k) - stack, intercept=stack, tag=int(k)) for k, stack in zip(*root)]
-        return [(line.slope, line.intercept, line.tag) for line in lines]
+        return [(int(k) - stack, stack, int(k)) for k, stack in zip(*root)]
 
     return sweep_linear(solve, 0.0, 1.0)
 

@@ -224,6 +224,38 @@ def test_greedy_rho_out_of_float_range(tmp_path, capsys):
     assert code == 0 and json.loads(out)["items"] == [1]
 
 
+def test_greedy_knapsack_rejects_non_finite_inputs(tmp_path, capsys):
+    # a nan capacity used to pack nothing, and an inf value printed "Infinity", not JSON
+    items = tmp_path / "items.csv"
+    items.write_text("10,10\n6,4\n")
+    cases = [(items, "nan"), (items, "inf")]
+    for row in ("inf,4", "6,nan", "6,-inf"):
+        bad = tmp_path / f"bad_{len(cases)}.csv"
+        bad.write_text(f"10,10\n{row}\n")
+        cases.append((bad, "10"))
+    for path, capacity in cases:
+        for mode in ((), ("--decompose",)):
+            code, out, err = run_cli(
+                capsys, "greedy", "knapsack", "--input", str(path), "--capacity", capacity, *mode
+            )
+            assert code == 2 and out == "", (path.read_text(), capacity, mode)
+            assert "values, sizes and capacity must be finite" in err
+
+
+def test_fold_rejects_non_finite_scores(tmp_path, capsys):
+    # 0 * inf = NaN in the DP used to drop the stem: GGGAAACCC at rho = 1 returned 3 pairs
+    fasta = tmp_path / "rna.fa"
+    fasta.write_text(">r\nGGGAAACCC\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("G,C,G,C,-inf\nC,G,C,G,1\n")
+    for argv in (("run", "--rho", "1.0"), ("decompose",)):
+        code, out, err = run_cli(
+            capsys, "fold", argv[0], "--input", str(fasta), "--scores", str(scores), *argv[1:]
+        )
+        assert code == 2 and out == "", argv
+        assert "stacking scores must be finite" in err
+
+
 def test_seed_only_on_learn_run(tmp_path, capsys):
     kp = tmp_path / "items.csv"
     kp.write_text("10,10\n6,4\n5,5\n")

@@ -98,6 +98,15 @@ def test_long_sequence_matches_the_frozen_dp(rho):
 
 
 def test_envelope_rejects_non_finite_scores():
-    m = StackScores({("A", "U", "A", "U"): float("inf")})
-    with pytest.raises(ValueError, match="finite"):
-        rho_breakpoints(RnaSequence("AAAAUUUU"), m)
+    # rejected when the table is built, before any DP can form 0 * inf = NaN
+    for score in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            rho_breakpoints(RnaSequence("AAAAUUUU"), StackScores({("A", "U", "A", "U"): score}))
+
+
+def test_scores_whose_sums_overflow_are_rejected():
+    m = StackScores({key: 1e308 * v for key, v in StackScores.watson_crick().table.items()})
+    s = RnaSequence("GGGGGAAACCCCC")
+    for solve in (lambda: fold(s, 0.5, m), lambda: rho_breakpoints(s, m)):
+        with pytest.raises(ValueError, match="float range"):
+            solve()
