@@ -17,7 +17,8 @@ MWIS run is certified on every comparison of its rounds.
 A rho (for a decomposition, rho_max) at which some size ** rho, or
 (1 + degree) ** rho, is not a positive finite float is rejected with
 ValueError before any run, as are non-finite knapsack values, sizes or
-capacity.
+capacity, and values, sizes or weights two of which have a ratio outside
+the float range (the swap points take the logarithm of that ratio).
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ from typing import Iterable
 import numpy as np
 
 from .piecewise import PiecewiseFunction1D, check_power, sweep_constant
+
+
+def _check_ratios(xs, name: str) -> None:
+    """Reject positive ``xs`` when some ratio of two of them is not a positive
+    finite float; the largest and the smallest decide."""
+    lo, hi = min(xs), max(xs)
+    if not (hi / lo < math.inf and lo / hi > 0.0):
+        raise ValueError(f"{name} {lo!r} and {hi!r} have a ratio outside the float range")
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,8 @@ class KnapsackInstance:
             raise ValueError("values, sizes and capacity must be finite")
         if any(v <= 0 for v in self.values) or any(s <= 0 for s in self.sizes):
             raise ValueError("values and sizes must be positive")
+        _check_ratios(self.values, "values")
+        _check_ratios(self.sizes, "sizes")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
 
@@ -121,9 +132,8 @@ def knapsack_breakpoints(inst: KnapsackInstance, rho_max: float) -> PiecewiseFun
     v, s = np.array(inst.values), np.array(inst.sizes)
     i, j = np.triu_indices(n, 1)
     # math.log, not np.log: numpy's SIMD log may round differently across machines;
-    # a ratio past the float range is inf, silently, as Python's float division gives it
-    with np.errstate(over="ignore"):
-        ls, lv = (np.array(list(map(math.log, (x[i] / x[j]).tolist()))) for x in (s, v))
+    # every ratio is a positive finite float (KnapsackInstance checks the extremes)
+    ls, lv = (np.array(list(map(math.log, (x[i] / x[j]).tolist()))) for x in (s, v))
     # a stays ahead of b while above[a, b] < rho < below[a, b]
     below, above = np.full((n, n), math.inf), np.full((n, n), -math.inf)
     swap = ls != 0  # the bigger item leads below the swap point
@@ -168,8 +178,12 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n != len(self.adjacency) or self.n != len(self.weights):
             raise ValueError("adjacency and weights must cover all n vertices")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError("weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        if self.weights:
+            _check_ratios(self.weights, "weights")
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
                 if v == u:

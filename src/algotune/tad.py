@@ -10,11 +10,14 @@ crossings with one explicit-stack sweep, the ray search of
 objective differences, which ``bounds.exp_sum_roots`` isolates with a
 certificate (coefficients summed per span, so sets tied at every rho give
 no root) to a thousandth of the caller's tolerance, and approximates each
-region's objective by chords within that tolerance.  The chord fit tests
-blocks of chords in numpy arrays; its powers go through Python's float
-``pow`` (the C library's, as ``TadWeights.weight`` computes them) rather
-than ``np.power``, which can round differently in the last bit, so the
-chords are the same doubles as one ``tad_objective`` call per point gives.
+region's objective by chords within that tolerance.  The objective of an
+optimal set is a convex exponential sum whose curvature falls in rho, so
+each chord is laid at a width that a curvature bound certifies, near the
+fewest chords the tolerance allows, with no probing between its ends.  The
+chord ends go through Python's float ``pow`` (the C library's, as
+``TadWeights.weight`` computes them) rather than ``np.power``, which can
+round differently in the last bit, so they are the same doubles as one
+``tad_objective`` call per point gives.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import exp_sum_roots
-from .piecewise import PiecewiseFunction1D, check_power
+from .piecewise import EPS_CMP, PiecewiseFunction1D, check_power
 
 
 class ContactMatrix:
@@ -188,10 +191,10 @@ def tad_utility(candidate: TadSet, truth: TadSet) -> float:
     return shared / len(candidate.intervals)
 
 
-#: chords taken off the fit's stack and tested together in one array pass
-_CHORD_BLOCK = 1024
-#: where a chord is compared with the objective, as fractions of its width
-_PROBES = np.array([[0.25], [0.5], [0.75]])
+#: cells per region; a chord takes the width certified at its cell's start
+_CELLS = 64
+#: share of ``tol`` that the chord bound leaves for float rounding
+_SLACK = 2.0**-8
 
 
 def _objective_at(terms, xs: np.ndarray) -> np.ndarray:
@@ -214,42 +217,61 @@ def _objective_at(terms, xs: np.ndarray) -> np.ndarray:
 
 
 def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
-    """Chords of one set's objective on [lo, hi], as rows lo, hi, g(lo), g(hi).
+    """Certified chords of one set's objective on [lo, hi], as rows lo, hi, g(lo), g(hi).
 
-    A chord is kept when it matches the objective within ``tol`` at 1/4, 1/2
-    and 3/4 of its width, else it is halved.  Up to ``_CHORD_BLOCK`` chords
-    come off an explicit stack at a time; their three probes are one
-    ``_objective_at`` call and the midpoints of the failing ones a second.
-    A block, not a whole level of the halving tree, keeps the stack at
-    O(block x depth) rows when ``tol`` cannot be met.  The stack's rows run
-    right to left, so the leftmost chords come off first.  ``ValueError``
-    when a chord 1e-12 wide or 40 halvings deep still misses ``tol``.
+    ``terms`` are the set's ``(c_ij, j - i)`` pairs.  A set that is optimal
+    at some rho has only positive weights (``tad_optimize`` drops an
+    interval of weight <= 0); ``ValueError`` otherwise.  So
+    g = sum c * s**-rho is convex, g'' = sum c * ln(s)**2 * s**-rho falls in
+    rho, and a chord of width h that starts at x is within h**2 * g''(x) / 8
+    of g on its whole width.  The region is cut into ``_CELLS`` cells, and
+    from the running position chords of width
+    sqrt(8 * tol * (1 - _SLACK) / g''(cell start)) are laid while they start
+    in the cell; the last may run past it, since g'' only falls.
+
+    Rounding: the slack, 2**-8 of ``tol``, covers a few ulps in g'' and the
+    square root, and the few ulps of |g| by which the chord ends' values and
+    a later evaluation of g are rounded, while tol is above about
+    2**-40 * |g|.  Each width is also cut by 2**-50 * hi, two ulps of
+    ``hi``, the most by which rounding the chord ends p + i * h stretches a
+    chord.
+
+    The last chord ends on ``hi``; an end within ``EPS_CMP`` of ``hi`` moves
+    to the middle of the last two chords, which keeps both within one
+    certified width when that is at least ``EPS_CMP``.  The values at the
+    chord ends are one ``_objective_at`` call.  ``ValueError``, before any
+    chord is laid, when the width at ``lo`` (the narrowest) is below
+    max((hi - lo) / 2**40, 1e-12) and does not span the region.
     """
-    stack = np.array([[lo, hi, *_objective_at(terms, np.array([lo, hi])), 0.0]])
-    kept = []
-    while len(stack):
-        block, stack = stack[-_CHORD_BLOCK:], stack[:-_CHORD_BLOCK]
-        lo, hi, vlo, vhi, depth = block.T
-        width = hi - lo
-        slope = (vhi - vlo) / width
-        x = lo + _PROBES * width
-        g = _objective_at(terms, x.ravel()).reshape(x.shape)
-        bad = (np.abs(vlo + slope * (x - lo) - g) > tol).any(axis=0)
-        kept.append(block[~bad, :4])
-        if not bad.any():
-            continue
-        stuck = bad & ((width <= 1e-12) | (depth >= 40))
-        if stuck.any():
-            k = np.flatnonzero(stuck)[-1]  # the leftmost, as rows run right to left
-            raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the chord on "
-                             f"[{float(lo[k])!r}, {float(hi[k])!r}] is still off by more than tol")
-        lo, hi, vlo, vhi, depth = block[bad].T
-        mid = 0.5 * (lo + hi)
-        vm = _objective_at(terms, mid)
-        right = np.stack([mid, hi, vm, vhi, depth + 1], axis=1)
-        left = np.stack([lo, mid, vlo, vm, depth + 1], axis=1)
-        stack = np.concatenate([stack, np.stack([right, left], axis=1).reshape(-1, 5)])
-    return np.concatenate(kept).T
+    if not all(c > 0 for c, _ in terms):
+        raise ValueError(f"a fitted set needs positive weights, got {[float(c) for c, _ in terms]}")
+    coef = np.array([c for c, _ in terms], dtype=float)
+    logs = np.log([s for _, s in terms])
+    starts = lo + (hi - lo) / _CELLS * np.arange(_CELLS)
+    d2 = np.exp(-np.outer(starts, logs)) @ (coef * logs**2)
+    bound = 8.0 * tol * (1.0 - _SLACK)
+    margin = 2.0**-50 * hi
+    widths = [min(math.sqrt(bound / d) - margin if d > 0 else math.inf, hi - lo)
+              for d in d2.tolist()]
+    floor = max((hi - lo) / 2**40, 1e-12)
+    if widths[0] < min(floor, hi - lo):
+        raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the chord on "
+                         f"[{lo!r}, {min(lo + floor, hi)!r}] is still off by more than tol")
+    p, laid = lo, []  # (first chord start, width, chord count) of each cell a chord starts in
+    for end, h in zip(starts.tolist()[1:] + [hi], widths):
+        if p < end:
+            k = math.ceil((end - p) / h)
+            laid.append((p, h, k))
+            p += h * k
+    first, width, count = np.array(laid).T
+    count = count.astype(int)
+    nth = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    x = np.concatenate([[lo], np.repeat(first, count) + np.repeat(width, count) * nth])
+    x[-1] = hi
+    if len(x) > 2 and hi - x[-2] < EPS_CMP:
+        x[-2] = 0.5 * (x[-3] + hi)
+    g = _objective_at(terms, x)
+    return np.stack([x[:-1], x[1:], g[:-1], g[1:]])
 
 
 class TadDecomposition(NamedTuple):
@@ -275,12 +297,12 @@ def rho_decomposition(
     the sweep does not chase their rounding.  The optimum is probed at each
     interior root and the sub-intervals are searched in turn.  With no
     interior root the sets cross at an end, and the set higher at the
-    midpoint holds the interval.  Each region's objective is approximated by chords, halved until
-    they match it within ``tol`` at 1/4, 1/2 and 3/4 (``_fit_chords``: up to
-    ``_CHORD_BLOCK`` chords per array pass, all chords sorted once at the
-    end); ``ValueError`` when ``tol`` is finer than 40 halvings (or a width
-    of 1e-12) can resolve, naming one chord that stays off.
-    ``cap_warning`` is always False.
+    midpoint holds the interval.  Each region's objective is approximated by
+    chords within ``tol`` on their whole width, each as wide as the
+    curvature bound at its start allows (``_fit_chords``: widths certified
+    per 64th of the region, the chord ends one array pass); ``ValueError``
+    when ``tol`` needs chords narrower than 2**-40 of the region (or than
+    1e-12), naming a chord at that floor.  ``cap_warning`` is always False.
     ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
     weight is then a finite double on the whole domain).
     """
@@ -328,10 +350,9 @@ def rho_decomposition(
         own = [(w.c[i][j], float(j - i)) for i, j in t_a.intervals]
         fits.append((_fit_chords(own, a, b, tol), tag_of(t_a)))
 
-    chords = np.concatenate([chords for chords, _ in fits], axis=1)
-    order = np.argsort(chords[0], kind="stable")
-    lo, hi, vlo, vhi = chords[:, order]
-    tags = np.concatenate([np.full(chords.shape[1], tag) for chords, tag in fits])[order]
+    # the sweep takes regions left to right and each fit runs left to right
+    lo, hi, vlo, vhi = np.concatenate([chords for chords, _ in fits], axis=1)
+    tags = np.repeat([tag for _, tag in fits], [chords.shape[1] for chords, _ in fits])
     slope = (vhi - vlo) / (hi - lo)
     pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))
     fn = PiecewiseFunction1D(0.0, rho_hi, lo[1:].tolist(), pieces)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,44 @@ def test_greedy_knapsack_rejects_non_finite_inputs(tmp_path, capsys):
             )
             assert code == 2 and out == "", (path.read_text(), capacity, mode)
             assert "values, sizes and capacity must be finite" in err
+
+
+def test_greedy_rejects_ratios_outside_the_float_range(tmp_path, capsys):
+    # the swap points take logs of size, value and weight ratios: 1e200 / 1e-200 is inf,
+    # and 1e-200 / 1e200 is 0, which used to end in "math domain error"
+    cases = []
+    for pair in (("1e-200", "1e200"), ("1e200", "1e-200")):
+        for field, rows in (("sizes", "1,{}\n2,{}\n"), ("values", "{},1\n{},2\n")):
+            path = tmp_path / f"items_{len(cases)}.csv"
+            path.write_text(rows.format(*pair))
+            cases.append((field, ("knapsack", "--input", str(path), "--capacity", "1")))
+        path = tmp_path / f"graph_{len(cases)}.txt"
+        path.write_text("0 1\nw 0 {}\nw 1 {}\n".format(*pair))
+        cases.append(("weights", ("mwis", "--input", str(path))))
+    for field, argv in cases:
+        for mode in (("--rho", "0.5"), ("--decompose", "--rho-max", "1")):
+            code, out, err = run_cli(capsys, "greedy", *argv, *mode)
+            assert code == 2 and out == "", (argv, mode)
+            assert f"{field} 1e-200 and 1e+200 have a ratio outside the float range" in err
+
+
+def test_greedy_mwis_rejects_non_finite_weights(tmp_path, capsys):
+    for weight in ("nan", "inf"):
+        graph = tmp_path / f"graph_{weight}.txt"
+        graph.write_text(f"0 1\nw 0 {weight}\nw 1 1\n")
+        for mode in (("--rho", "0.5"), ("--decompose", "--rho-max", "1")):
+            code, out, err = run_cli(capsys, "greedy", "mwis", "--input", str(graph), *mode)
+            assert code == 2 and out == "" and "weights must be finite" in err, (weight, mode)
+
+
+def test_greedy_swap_point_of_an_extreme_in_range_ratio(tmp_path, capsys):
+    # sizes 1e300 apart: the packing changes where items 0 and 1 swap density rank
+    items = tmp_path / "items.csv"
+    items.write_text("1,1e150\n0.6,1e-150\n0.5,1e-150\n")
+    code, out, _ = run_cli(capsys, "greedy", "knapsack", "--input", str(items),
+                           "--capacity", "1e150", "--decompose", "--rho-max", "0.01")
+    assert code == 0
+    assert json.loads(out)["breakpoints"] == [math.log(1 / 0.6) / math.log(1e150 / 1e-150)]
 
 
 def test_fold_rejects_non_finite_scores(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The block-batched chord fit of ``tad.rho_decomposition`` against the frozen
-depth-first fit in ``tad_chord_reference``: the same bytes, and a chord at the
-depth floor named when the tolerance cannot be met."""
+"""The certified chord fit of ``tad.rho_decomposition`` against the frozen
+depth-first fit in ``tad_chord_reference``: the same regions and sets, within
+tol everywhere, with fewer pieces; and a chord at the width floor named when
+the tolerance cannot be met."""
 
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import algotune.tad as tad
-from algotune.cli import dispatch
+from algotune.piecewise import EPS_CMP
 from algotune.tad import ContactMatrix, TadSet, precompute_cij, rho_decomposition, tad_objective
 from tad_chord_reference import rho_decomposition as reference_decomposition
 
@@ -30,40 +31,102 @@ def seeded_weights():
         yield k, precompute_cij(ContactMatrix(m + m.T))
 
 
-@pytest.mark.parametrize("block", [1024, 3])
-def test_fit_matches_the_frozen_depth_first_fit(monkeypatch, block):
-    monkeypatch.setattr(tad, "_CHORD_BLOCK", block)
-    widest = []
-    fit = tad._fit_chords
+def regions(fn):
+    """Region edges and tags: the breakpoints where the piece tag changes."""
+    edges, tags = [fn.lo], [fn.pieces[0][2]]
+    for b, (_, _, tag) in zip(fn.breakpoints, fn.pieces[1:]):
+        if tag != tags[-1]:
+            edges.append(b)
+            tags.append(tag)
+    return edges, tags
 
-    def counted(*args):
-        chords = fit(*args)
-        widest.append(chords.shape[1])
-        return chords
 
-    monkeypatch.setattr(tad, "_fit_chords", counted)
+def fit_error(w, dec):
+    """Largest gap to the objective of the piece's own set, on 2,001 points and
+    1e-7 either side of every breakpoint (numpy's powers: far below tol)."""
+    fn = dec.fn
+    near = np.add.outer(fn.breakpoints, [-1e-7, 1e-7]).ravel()
+    x = np.concatenate([np.linspace(fn.lo, fn.hi, 2001), near])
+    slope, intercept, tag = (np.array(col) for col in zip(*fn.pieces))
+    k = np.searchsorted(fn.breakpoints, x, side="right")  # fn.piece_index
+    g = np.zeros_like(x)
+    for t, tad_set in enumerate(dec.tad_sets):
+        on = tag[k] == t
+        g[on] = sum(w.c[i][j] / float(j - i) ** x[on] for i, j in tad_set.intervals)
+    return np.abs(slope[k] * x + intercept[k] - g).max()
+
+
+def corpus():
+    """The 48 seeded matrices and ``tad_14.csv`` on [0, 2]."""
     for k, w in seeded_weights():
-        rho_hi, tol = (0.5, 2.0)[k % 2], (1e-4, 1e-6)[k // 2 % 2]
+        yield k, w, (0.5, 2.0)[k % 2]
+    with open(TAD_14) as fh:
+        yield "tad_14", precompute_cij(ContactMatrix.from_csv(fh.read())), 2.0
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_certified_chords_stay_within_tol(tol):
+    for k, w, rho_hi in corpus():
+        assert fit_error(w, rho_decomposition(w, rho_hi, tol)) <= tol, k
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_certified_chords_keep_the_frozen_regions_with_fewer_pieces(tol):
+    ours = theirs = 0
+    for k, w, rho_hi in corpus():
         dec = rho_decomposition(w, rho_hi, tol)
         ref = reference_decomposition(w, rho_hi, tol)
-        assert dec.fn.to_json() == ref.fn.to_json(), (k, w.n, rho_hi, tol)
-        assert dec.tad_sets == ref.tad_sets and dec.cap_warning == ref.cap_warning
-    assert max(widest) > block  # some regions take more than one block
+        assert dec.tad_sets == ref.tad_sets and dec.cap_warning == ref.cap_warning, k
+        assert regions(dec.fn) == regions(ref.fn), k
+        assert len(dec.fn.pieces) <= len(ref.fn.pieces), k
+        ours, theirs = ours + len(dec.fn.pieces), theirs + len(ref.fn.pieces)
+    assert ours <= 0.75 * theirs, (ours, theirs)
 
 
-def test_cli_stdout_matches_the_frozen_fit(capsys, monkeypatch):
-    outs = {}
-    for name, fn in (("batched", rho_decomposition), ("reference", reference_decomposition)):
-        monkeypatch.setattr(tad, "rho_decomposition", fn)
-        for fmt in ("json", "csv"):
-            code = dispatch(["tad", "decompose", "--matrix", TAD_14, "--rho-max", "2.0",
-                             "--tolerance", "1e-6", "--format", fmt])
-            captured = capsys.readouterr()
-            assert code == 0
-            outs[name, fmt] = captured.out, captured.err
-    assert outs["batched", "json"] == outs["reference", "json"]
-    assert outs["batched", "csv"] == outs["reference", "csv"]
-    assert len(outs["batched", "csv"][0].splitlines()) > 1000
+def planted_terms():
+    # span 19 next to spans 1 and 2: g'' falls by a factor over 100 on [0, 4]
+    return [(0.7, 19.0), (1.3, 2.0), (0.4, 1.0)]
+
+
+def second_derivative(terms, x):
+    return sum(c * math.log(s) ** 2 * s**-x for c, s in terms)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_planted_chords_stay_within_tol_where_the_curvature_falls(tol):
+    terms = planted_terms()
+    assert second_derivative(terms, 0.0) > 100 * second_derivative(terms, 4.0)
+    lo, hi, vlo, vhi = tad._fit_chords(terms, 0.0, 4.0, tol)
+    assert lo[0] == 0.0 and hi[-1] == 4.0 and (lo[1:] == hi[:-1]).all()
+    assert (hi - lo >= EPS_CMP).all()
+
+    def g(x):  # tad_objective's sum
+        return math.fsum(c / s**x for c, s in terms)
+
+    assert vlo.tolist() == [g(x) for x in lo.tolist()]
+    # dense inside every chord, and against its ends
+    for frac in np.linspace(0.0, 1.0, 41 if len(lo) < 2000 else 9):
+        x = lo + frac * (hi - lo)
+        chord = vlo + (vhi - vlo) / (hi - lo) * (x - lo)
+        assert max(abs(c - g(t)) for c, t in zip(chord.tolist(), x.tolist())) <= tol
+    # near the fewest chords any fit within tol can take, the integral of sqrt(g'' / 8 tol)
+    xs = np.linspace(0.0, 4.0, 4001)
+    density = np.sqrt(second_derivative(terms, xs) / (8 * tol))
+    least = float(np.sum((density[1:] + density[:-1]) / 2 * np.diff(xs)))
+    assert least <= len(lo) <= 1.05 * least + 2
+
+
+def test_curvature_free_sets_take_one_chord():
+    for terms in ([], [(2.5, 1.0)]):
+        ends = np.array([0.25, 3.0])
+        chords = tad._fit_chords(terms, *ends, 1e-12)
+        assert chords.T.tolist() == [[*ends, *tad._objective_at(terms, ends)]]
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.5, -5e-324, math.nan])
+def test_a_set_with_a_nonpositive_weight_is_refused(weight):
+    with pytest.raises(ValueError, match="positive weights"):
+        tad._fit_chords([(1.0, 3.0), (weight, 2.0)], 0.0, 1.0, 1e-6)
 
 
 def test_objective_at_is_tad_objective_bit_for_bit():
