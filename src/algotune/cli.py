@@ -182,10 +182,7 @@ def _cmd_tad(args) -> int:
         )
         return 0
     dec = tad.rho_decomposition(w, args.rho_max, args.tolerance)
-    extra = {
-        "tad_sets": [[list(iv) for iv in t.intervals] for t in dec.tad_sets],
-        "cap_warning": dec.cap_warning,
-    }
+    extra = {"tad_sets": [[list(iv) for iv in t.intervals] for t in dec.tad_sets]}
     _emit(_pf_payload(dec.fn, args.format, extra), args.out)
     return 0
 
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True)
     q.add_argument("--rho", type=float, required=True)
     q.add_argument("--scores", default=None)
-    common(q)
+    common(q, fmt=False)
     q = pfs.add_parser("decompose")
     q.add_argument("--input", required=True)
     q.add_argument("--scores", default=None)
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = pts.add_parser("run")
     q.add_argument("--matrix", required=True)
     q.add_argument("--rho", type=float, required=True)
-    common(q)
+    common(q, fmt=False)
     q = pts.add_parser("decompose")
     q.add_argument("--matrix", required=True)
     q.add_argument("--rho-max", type=float, default=2.0)
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rho", type=float, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--euclidean", action="store_true")
-    common(q)
+    common(q, fmt=False)
     q = pcs.add_parser("decompose")
     q.add_argument("--input", required=True)
     q.add_argument("--k", type=int, required=True)

@@ -4,14 +4,16 @@ Expectations are always computed by exact support enumeration (the
 distributions here are finite), so the only randomness is the i.i.d. draw of
 training samples.  Each trial owns an RNG stream derived from the master
 seed XOR the trial index, split further by the training-set size, so any
-trial is reproducible in isolation.  Trials run one after another; the
-config's ``threads`` field is accepted for compatibility and ignored.
+trial is reproducible in isolation.  Trials run one after another; a
+``threads`` key in a JSON config is tolerated and ignored.  A config or
+``params`` value of the wrong shape raises ``ValueError`` naming its field.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,8 +32,13 @@ from .piecewise import PiecewiseBatch, PiecewiseFunction1D
 from .mechanisms import anonymous_reserve_dual  # noqa: F401
 from .piecewise import argmax, average  # noqa: F401
 
-ADVERSARIAL_FAMILIES = ("spa_overfit", "nam_overfit")
-KNOWN_FAMILIES = ("spa_overfit", "spa_erm", "nam_overfit")
+
+def _parse(convert, value, name: str, what: str):
+    """``convert(value)``; ``ValueError`` naming the field ``name`` when the shape is wrong."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {what}, got {value!r:.40}") from None
 
 
 @dataclass
@@ -41,7 +48,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     delta: float = 0.01
-    threads: int = 1  # accepted and ignored: trials run serially
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -54,15 +60,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+        d = json.loads(text)  # a "threads" key is ignored: trials run serially
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r:.40}")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r:.40}")
         return cls(
             family=d["family"],
-            n_schedule=[int(n) for n in d["n_schedule"]],
-            trials=int(d.get("trials", 100)),
-            seed=int(d.get("seed", 0)),
-            delta=float(d.get("delta", 0.01)),
-            threads=int(d.get("threads", 1)),
-            params=d.get("params", {}),
+            n_schedule=_parse(lambda v: [int(n) for n in v], d["n_schedule"], "n_schedule",
+                              "a list of integers"),
+            trials=_parse(int, d.get("trials", 100), "trials", "an integer"),
+            seed=_parse(int, d.get("seed", 0), "seed", "an integer"),
+            delta=_parse(float, d.get("delta", 0.01), "delta", "a number"),
+            params=params,
         )
 
 
@@ -142,14 +153,23 @@ def optimal_nonanonymous_revenue(values: np.ndarray) -> float:
     return float(values.mean())
 
 
+def _number_pairs(value) -> list[tuple]:
+    pairs = [tuple(pr) for pr in value]
+    if any(len(pr) != 2 or not all(isinstance(x, numbers.Real) for x in pr) for pr in pairs):
+        raise ValueError
+    return pairs
+
+
 def _spa_values(p: dict) -> np.ndarray:
     """Bidder values of the SPA families: ``params.values``, else the synthetic set."""
     if "values" not in p:
-        n_low, n_high = int(p.get("n_low", 5334)), int(p.get("n_high", 5278))
+        n_low = _parse(int, p.get("n_low", 5334), "params.n_low", "an integer")
+        n_high = _parse(int, p.get("n_high", 5278), "params.n_high", "an integer")
         if n_low < 0 or n_high < 0 or n_low + n_high < 1:
             raise ValueError("params.n_low and params.n_high must be >= 0 with a sum >= 1")
         return synthetic_spa_values(n_low, n_high)
-    values = np.asarray(p["values"], dtype=float)
+    values = _parse(lambda v: np.asarray(v, dtype=float), p["values"], "params.values",
+                    "a nonempty list of numbers")
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("params.values must be a nonempty list of numbers")
     if not np.isfinite(values).all():
@@ -165,7 +185,7 @@ class _SpaOverfitFamily:
     def __init__(self, cfg: ExperimentConfig):
         p = cfg.params
         self.values = _spa_values(p)
-        self.fallback = float(p.get("fallback", 0.75))
+        self.fallback = _parse(float, p.get("fallback", 0.75), "params.fallback", "a number")
         if not math.isfinite(self.fallback):
             raise ValueError("params.fallback must be finite")
         self.delta = cfg.delta
@@ -219,16 +239,17 @@ class _NamOverfitFamily:
 
     def __init__(self, cfg: ExperimentConfig):
         p = cfg.params
-        self.n_profiles = int(p.get("n_profiles", 500))
+        self.n_profiles = _parse(int, p.get("n_profiles", 500), "params.n_profiles", "an integer")
         self.delta = cfg.delta
         self.seed = cfg.seed
         pairs = p.get("pairs")
         if pairs is None:
             pairs = self._synthetic_pairs(
-                int(p.get("n_group1", 870)), int(p.get("n_group2", 1677))
+                _parse(int, p.get("n_group1", 870), "params.n_group1", "an integer"),
+                _parse(int, p.get("n_group2", 1677), "params.n_group2", "an integer"),
             )
         dist = build_nam_distribution(
-            [tuple(pr) for pr in pairs],
+            _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] number pairs"),
             n_profiles=self.n_profiles,
             rng=np.random.default_rng([cfg.seed, 101]),
         )
@@ -271,11 +292,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Per size N, ``cfg.trials`` independent draws are taken with per-trial
     derived seeds, the family's parameter construction is applied, and the
     exact estimation error is recorded.  Adversarial families also report the
-    max over trials.  Trials run serially; ``cfg.threads`` does not change
-    the schedule or the output.
+    max over trials.  Trials run serially.
     """
-    if cfg.family not in _FAMILIES:
-        raise ValueError(f"unknown family {cfg.family!r}; known: {KNOWN_FAMILIES}")
+    if not isinstance(cfg.family, str) or cfg.family not in _FAMILIES:
+        raise ValueError(f"unknown family {cfg.family!r}; known: {tuple(_FAMILIES)}")
     fam = _FAMILIES[cfg.family](cfg)
 
     rows = []

@@ -118,7 +118,12 @@ class Folding:
 
     @classmethod
     def from_json(cls, text: str) -> "Folding":
-        return cls(tuple(p) for p in json.loads(text)["pairs"])
+        d = json.loads(text)
+        try:  # a missing "pairs" key stays a KeyError
+            pairs = [(int(i), int(j)) for i, j in d["pairs"]]
+        except (TypeError, ValueError):
+            raise ValueError("pairs must be a list of [i, j] index pairs") from None
+        return cls(pairs)
 
 
 @dataclass

@@ -173,7 +173,7 @@ _SUB_ROWS = 64  # diagonals per block of precomputed substitution scores
 
 
 def affine_align(
-    s1: Sequence, s2: Sequence, p: AffineParams, max_len: int = MAX_LEN
+    s1: Sequence, s2: Sequence, p: AffineParams
 ) -> tuple[Alignment, AlignmentFeatures, float]:
     """Optimal affine-gap alignment of two sequences: ``align_batch`` of one pair.
 
@@ -182,16 +182,16 @@ def affine_align(
     predecessor choice.
 
     Memory: three score diagonals (O(n + m) floats) and a traceback of
-    ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes.  The default ``max_len`` is
-    the largest L with ``L * L * TRACEBACK_BYTES_PER_CELL <=
-    TRACEBACK_BUDGET`` (10^8 bytes), i.e. 10,000, so one pair always fits the
-    budget; lengths are checked before anything is allocated.
+    ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes.  ``MAX_LEN`` is the largest
+    L with ``L * L * TRACEBACK_BYTES_PER_CELL <= TRACEBACK_BUDGET`` (10^8
+    bytes), i.e. 10,000, so one pair always fits the budget; lengths are
+    checked before anything is allocated.
     """
-    return align_batch(((s1, s2),), (p,), max_len)[0]
+    return align_batch(((s1, s2),), (p,))[0]
 
 
 def align_batch(
-    pairs: Seq[tuple[Sequence, Sequence]], params: Seq[AffineParams], max_len: int = MAX_LEN
+    pairs: Seq[tuple[Sequence, Sequence]], params: Seq[AffineParams]
 ) -> list[tuple[Alignment, AlignmentFeatures, float]]:
     """Optimal affine-gap alignments of many sequence pairs, one ``AffineParams`` per pair.
 
@@ -203,7 +203,7 @@ def align_batch(
     enter the sweep as per-pair columns, so one set shared by every pair
     costs what it did as a scalar.
 
-    Every length is checked against ``max_len`` first; then the pairs are
+    Every length is checked against ``MAX_LEN`` first; then the pairs are
     cut, in order, into chunks whose traceback ``TRACEBACK_BYTES_PER_CELL *
     B * N * M`` fits ``TRACEBACK_BUDGET`` (B pairs padded to the chunk's
     longest N and M; a pair too large on its own forms its own chunk), and
@@ -216,8 +216,8 @@ def align_batch(
     for n, m in sizes:
         if n == 0 or m == 0:
             raise ValueError("sequences must be nonempty")
-        if n > max_len or m > max_len:
-            raise ValueError(f"sequence longer than configured max {max_len}")
+        if n > MAX_LEN or m > MAX_LEN:
+            raise ValueError(f"sequence longer than configured max {MAX_LEN}")
     cells = TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL
     cuts = [0]
     top_n = top_m = 0
@@ -624,9 +624,7 @@ def _traceback_tag(aln: Alignment) -> int:
     return zlib.crc32("\n".join("".join(r) for r in aln.rows).encode())
 
 
-def indel_breakpoints(
-    s1: Sequence, s2: Sequence, rho_max: float, max_len: int = 500
-) -> PiecewiseFunction1D:
+def indel_breakpoints(s1: Sequence, s2: Sequence, rho_max: float) -> PiecewiseFunction1D:
     """Exact optimal-objective envelope over the indel penalty in [0, rho_max].
 
     Each alignment contributes the line ``matches - rho * indels``; the
@@ -636,8 +634,6 @@ def indel_breakpoints(
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    if len(s1) > max_len or len(s2) > max_len:
-        raise ValueError(f"sequence longer than configured max {max_len}")
 
     def solve(rhos):
         alns = _align_at_indel_penalties(s1, s2, rhos)
@@ -647,11 +643,7 @@ def indel_breakpoints(
 
 
 def utility_breakpoints(
-    s1: Sequence,
-    s2: Sequence,
-    reference: Alignment,
-    rho_max: float,
-    max_len: int = 500,
+    s1: Sequence, s2: Sequence, reference: Alignment, rho_max: float
 ) -> PiecewiseFunction1D:
     """Piecewise-constant Q-score of the parameterized aligner against a reference.
 
@@ -660,7 +652,7 @@ def utility_breakpoints(
     algorithm.  All midpoints are aligned in one ``align_batch`` call.
     Adjacent equal-valued pieces merge.
     """
-    env = indel_breakpoints(s1, s2, rho_max, max_len=max_len)
+    env = indel_breakpoints(s1, s2, rho_max)
 
     def util(rhos):
         return [q_score(aln, reference) for aln, _, _ in _align_at_indel_penalties(s1, s2, rhos)]

@@ -123,25 +123,19 @@ def precompute_cij(m: ContactMatrix) -> TadWeights:
     """Block sums minus same-length diagonal-block means, in O(n^2).
 
     T(i,j) = sum of M[p][q] over i <= p < q <= j by inclusion-exclusion;
-    c_ij = T(i,j) - mean_t T(t, t+j-i).
+    c_ij = T(i,j) - mean_t T(t, t+j-i).  Each span is one numpy statement in
+    the cell loop's float order: ``left + down - inner + M``, then ``- mean``.
     """
-    n = m.n
-    M = m.m
-    T = np.zeros((n, n))  # 0-based here
-    for span in range(1, n):
-        for i in range(0, n - span):
-            j = i + span
-            left = T[i][j - 1]
-            down = T[i + 1][j] if i + 1 <= j else 0.0
-            inner = T[i + 1][j - 1] if i + 1 <= j - 1 else 0.0
-            T[i][j] = left + down - inner + M[i][j]
-
-    c = np.zeros((n + 1, n + 1))
+    n, s = m.n, m.n + 1
+    # flat, 0-based: cell (i, j) at i * n + j; span d is [d::s][:n - d], and its left,
+    # down and inner neighbours (zeros at span 1) start at d - 1, n + d and n + d - 1
+    M, T, C = m.m.reshape(-1), np.zeros(n * n), np.zeros(n * n)
     for d in range(1, n):
-        diag = T.diagonal(offset=d).copy()
-        mu = _block_mean(diag)
-        for i0 in range(0, n - d):
-            c[i0 + 1][i0 + 1 + d] = T[i0][i0 + d] - mu
+        k = n - d
+        T[d::s][:k] = T[d - 1::s][:k] + T[n + d::s][:k] - T[n + d - 1::s][:k] + M[d::s][:k]
+        C[d::s][:k] = T[d::s][:k] - _block_mean(T[d::s][:k])
+    c = np.zeros((s, s))
+    c[1:, 1:] = C.reshape(n, n)
     return TadWeights(c)
 
 
@@ -278,13 +272,11 @@ class TadDecomposition(NamedTuple):
     fn: PiecewiseFunction1D  # chordal approximation of the optimal objective
     tad_sets: list[TadSet]  # piece tags index into this list
     # always False: the root isolation is certified and has no count cap.  The
-    # field stays because the benchmark tracer reads it and the CLI JSON prints it.
+    # field stays because the benchmark tracer reads it.
     cap_warning: bool
 
 
-def rho_decomposition(
-    w: TadWeights, rho_hi: float, tol: float, min_length: int = 1
-) -> TadDecomposition:
+def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposition:
     """Parameter decomposition of the optimal TAD objective on [0, rho_hi].
 
     Explicit-stack sweep in the shape of ``piecewise.sweep_linear``; each
@@ -312,25 +304,18 @@ def rho_decomposition(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     w.check_rho(rho_hi)
 
-    sets: list[TadSet] = []
-    set_index: dict[TadSet, int] = {}
+    tag_of: dict[TadSet, int] = {}  # each fitted set -> its tag, in the order first fitted
     fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag
     res = max(tol * 1e-3, 1e-13)
 
-    def tag_of(t: TadSet) -> int:
-        if t not in set_index:
-            set_index[t] = len(sets)
-            sets.append(t)
-        return set_index[t]
-
     rho_hi = float(rho_hi)
-    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x, min_length)[0] for x in (0.0, rho_hi))]
+    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x)[0] for x in (0.0, rho_hi))]
     while todo:
         a, b, t_a, t_b = todo.pop()
         mid = 0.5 * (a + b)
         if t_a == t_b:
             # the difference to another set may cross zero twice inside
-            t_mid, v_mid = tad_optimize(w, mid, min_length)
+            t_mid, v_mid = tad_optimize(w, mid)
             if t_mid != t_a and v_mid > tad_objective(w, t_a, mid) + max(tol * 1e-3, 1e-12):
                 todo += [(mid, b, t_mid, t_b), (a, mid, t_a, t_mid)]
                 continue
@@ -341,14 +326,14 @@ def rho_decomposition(
             roots = [r for r in exp_sum_roots(terms, a, b, res) if a + res < r < b - res]
             if roots:
                 edges = [a] + roots + [b]
-                opts = [t_a] + [tad_optimize(w, x, min_length)[0] for x in roots] + [t_b]
+                opts = [t_a] + [tad_optimize(w, x)[0] for x in roots] + [t_b]
                 todo += reversed(list(zip(edges, edges[1:], opts, opts[1:])))
                 continue
             # the sets cross at an end: the one higher at the midpoint holds it
             if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
                 t_a = t_b
         own = [(w.c[i][j], float(j - i)) for i, j in t_a.intervals]
-        fits.append((_fit_chords(own, a, b, tol), tag_of(t_a)))
+        fits.append((_fit_chords(own, a, b, tol), tag_of.setdefault(t_a, len(tag_of))))
 
     # the sweep takes regions left to right and each fit runs left to right
     lo, hi, vlo, vhi = np.concatenate([chords for chords, _ in fits], axis=1)
@@ -356,4 +341,4 @@ def rho_decomposition(
     slope = (vhi - vlo) / (hi - lo)
     pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))
     fn = PiecewiseFunction1D(0.0, rho_hi, lo[1:].tolist(), pieces)
-    return TadDecomposition(fn, sets, False)
+    return TadDecomposition(fn, list(tag_of), False)

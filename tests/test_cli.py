@@ -12,6 +12,8 @@ import pytest
 import algotune
 from algotune import cli
 from algotune.cli import dispatch
+from algotune.piecewise import PiecewiseFunction1D
+from algotune.seqalign import AffineParams, Sequence, affine_align
 
 
 def run_cli(capsys, *argv):
@@ -473,3 +475,79 @@ def test_console_entry_point_runs():
     )
     # bare invocation prints usage and exits 2 via argparse
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        ({"family": "spa_erm", "n_schedule": 5}, "n_schedule"),
+        ({"family": "spa_erm", "n_schedule": [10], "params": 5}, "params"),
+        ([{"family": "spa_erm", "n_schedule": [10]}], "config"),
+        ({"family": "spa_erm", "n_schedule": [10], "trials": None}, "trials"),
+        ({"family": "nam_overfit", "n_schedule": [10], "params": {"pairs": 3}}, "params.pairs"),
+    ],
+)
+def test_learn_run_rejects_malformed_json_shapes(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "learn", "run", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
+def test_fold_decompose_rejects_malformed_truth(tmp_path, capsys):
+    fasta = tmp_path / "rna.fa"
+    fasta.write_text(">r\nGCAUCGGC\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"pairs": 5}\n')
+    code, out, err = run_cli(capsys, "fold", "decompose", "--input", str(fasta), "--truth", str(truth))
+    assert code == 2 and out == ""
+    assert err.startswith("error: pairs must be")
+
+
+def test_run_commands_take_no_format(tmp_path, capsys):
+    # fold, tad and cluster ``run`` print JSON only
+    rna = tmp_path / "rna.fa"
+    rna.write_text(">r\nGCAUCGGC\n")
+    pts = tmp_path / "points.csv"
+    pts.write_text("0,0\n0.1,0\n5,5\n5.2,5\n")
+    matrix = os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")
+    for argv in (
+        ["fold", "run", "--input", str(rna), "--rho", "0.8"],
+        ["tad", "run", "--matrix", matrix, "--rho", "0.5"],
+        ["cluster", "run", "--input", str(pts), "--euclidean", "--rho", "0.5", "--k", "2"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out), argv
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2 and out == "" and "--format" in err, argv
+
+
+def test_tad_decompose_json_keys(capsys):
+    path = os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")
+    code, out, _ = run_cli(capsys, "tad", "decompose", "--matrix", path)
+    assert code == 0
+    assert list(json.loads(out)) == ["lo", "hi", "breakpoints", "pieces", "tad_sets"]
+
+
+def test_align_decompose_accepts_pairs_over_500_nt(tmp_path, capsys):
+    # the decompositions once refused pairs over 500 nt; MAX_LEN (10,000) is the one length rule
+    r = np.random.default_rng(501)
+    a = r.choice(list("ACGT"), size=501)
+    b = a.copy()
+    b[r.choice(501, size=120, replace=False)] = r.choice(list("ACGT"), size=120)
+    b = np.delete(b, r.choice(501, size=30, replace=False))
+    b = np.concatenate([b[:200], r.choice(list("ACGT"), size=30), b[200:]])
+    s1, s2 = "".join(a), "".join(b)
+    assert len(s1) == len(s2) == 501
+    fasta = tmp_path / "pair.fa"
+    fasta.write_text(f">a\n{s1}\n>b\n{s2}\n")
+    code, out, err = run_cli(capsys, "align", "decompose", "--input", str(fasta), "--rho-max", "2")
+    assert code == 0, err
+    fn = PiecewiseFunction1D.from_json(out)
+    assert len(fn.pieces) >= 2
+    for k in range(len(fn.pieces)):
+        lo, hi = fn.piece_bounds(k)
+        for x in (lo + (hi - lo) * f for f in (0.25, 0.5, 0.75)):
+            _, _, obj = affine_align(Sequence(s1), Sequence(s2), AffineParams(0.0, x, 0.0))
+            assert fn.value(x) == pytest.approx(obj, abs=1e-9), x

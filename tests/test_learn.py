@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -149,12 +150,17 @@ def test_spa_overfit_mean_error_decreases():
 
 
 def test_determinism_across_runs_and_threads():
-    base = dict(n_schedule=[50, 150], trials=8, seed=42, params={"n_profiles": 40})
-    rows1 = run_experiment(ExperimentConfig("nam_overfit", threads=1, **base))
-    rows2 = run_experiment(ExperimentConfig("nam_overfit", threads=8, **base))
-    assert rows_to_csv(rows1) == rows_to_csv(rows2)
-    rows3 = run_experiment(ExperimentConfig("nam_overfit", threads=1, **base))
-    assert rows_to_csv(rows1) == rows_to_csv(rows3)
+    # a "threads" key in a JSON config is tolerated and changes nothing
+    base = dict(family="nam_overfit", n_schedule=[50, 150], trials=8, seed=42,
+                params={"n_profiles": 40})
+
+    def rows(threads):
+        cfg = ExperimentConfig.from_json(json.dumps(dict(base, threads=threads)))
+        return rows_to_csv(run_experiment(cfg))
+
+    rows1 = rows(1)
+    assert rows1 == rows(8)
+    assert rows1 == rows(1)
 
 
 def test_csv_headers():
