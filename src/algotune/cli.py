@@ -191,11 +191,15 @@ def _cmd_tad(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    # a single run prints JSON; only the decomposition has a csv form
+    if args.format is not None and not args.decompose:
+        raise ValueError("--format needs --decompose")
+    fmt = args.format or "json"
     if args.problem == "knapsack":
         inst = greedy.KnapsackInstance.from_csv(_read(args.input), args.capacity)
         if args.decompose:
             fn = greedy.knapsack_breakpoints(inst, args.rho_max)
-            _emit(_pf_payload(fn, args.format), args.out)
+            _emit(_pf_payload(fn, fmt), args.out)
         else:
             items, total = greedy.knapsack_greedy(inst, args.rho)
             _emit(
@@ -206,7 +210,7 @@ def _cmd_greedy(args) -> int:
         g = greedy.WeightedGraph.from_text(_read(args.input))
         if args.decompose:
             fn = greedy.mwis_breakpoints(g, args.rho_max)
-            _emit(_pf_payload(fn, args.format), args.out)
+            _emit(_pf_payload(fn, fmt), args.out)
         else:
             verts, total = greedy.mwis_greedy(g, args.rho)
             _emit(
@@ -292,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="algotune")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p, fmt=True, fmt_default="json"):
         p.add_argument("--out", default=None)
         if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
     pb = sub.add_parser("bounds")
     pbs = pb.add_subparsers(dest="calc", required=True)
@@ -379,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rho", type=float, default=1.0)
     q.add_argument("--decompose", action="store_true")
     q.add_argument("--rho-max", type=float, default=5.0)
-    common(q)
+    common(q, fmt_default=None)  # --format only with --decompose
     q = pgs.add_parser("mwis")
     q.add_argument("--input", required=True)
     q.add_argument("--rho", type=float, default=1.0)
     q.add_argument("--decompose", action="store_true")
     q.add_argument("--rho-max", type=float, default=5.0)
-    common(q)
+    common(q, fmt_default=None)  # --format only with --decompose
     pg.set_defaults(func=_cmd_greedy)
 
     pc = sub.add_parser("cluster")
@@ -445,7 +449,10 @@ def dispatch(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except KeyError as e:  # a required key of a JSON input
+        print(f"error: missing key {e}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

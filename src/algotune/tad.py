@@ -10,14 +10,17 @@ crossings with one explicit-stack sweep, the ray search of
 objective differences, which ``bounds.exp_sum_roots`` isolates with a
 certificate (coefficients summed per span, so sets tied at every rho give
 no root) to a thousandth of the caller's tolerance, and approximates each
-region's objective by chords within that tolerance.  The objective of an
-optimal set is a convex exponential sum whose curvature falls in rho, so
-each chord is laid at a width that a curvature bound certifies, near the
-fewest chords the tolerance allows, with no probing between its ends.  The
-chord ends go through Python's float ``pow`` (the C library's, as
-``TadWeights.weight`` computes them) rather than ``np.power``, which can
-round differently in the last bit, so they are the same doubles as one
-``tad_objective`` call per point gives.
+region's objective by linear pieces within that tolerance.  The objective
+of an optimal set is a convex exponential sum whose curvature falls in rho,
+so each chord is laid at a width that a curvature bound certifies, with no
+probing between its ends: a chord may rise up to twice the tolerance above
+the objective, and every chord is then lowered by one constant, half the
+largest certified height, which is about the fewest linear pieces any fit
+within the tolerance can take.  The chord ends go through Python's float
+``pow`` (the C library's, as ``TadWeights.weight`` computes them) rather
+than ``np.power``, which can round differently in the last bit, so before
+the lowering they are the same doubles as one ``tad_objective`` call per
+point gives.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .piecewise import EPS_CMP, PiecewiseFunction1D, check_power
 
 
 class ContactMatrix:
-    """Symmetric nonnegative n x n matrix of contact frequencies."""
+    """Symmetric nonnegative n x n matrix of finite contact frequencies."""
 
     __slots__ = ("m",)
 
@@ -44,6 +47,8 @@ class ContactMatrix:
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError("need a square matrix with n >= 2")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-9):
             raise ValueError("matrix must be symmetric")
         if (m < 0).any():
@@ -210,43 +215,48 @@ def _objective_at(terms, xs: np.ndarray) -> np.ndarray:
     return sum(parts, np.zeros(n))
 
 
-def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
+def _fit_chords(terms, lo: float, hi: float, tol: float, lead: float = 0.0) -> np.ndarray:
     """Certified chords of one set's objective on [lo, hi], as rows lo, hi, g(lo), g(hi).
 
     ``terms`` are the set's ``(c_ij, j - i)`` pairs.  A set that is optimal
     at some rho has only positive weights (``tad_optimize`` drops an
     interval of weight <= 0); ``ValueError`` otherwise.  So
     g = sum c * s**-rho is convex, g'' = sum c * ln(s)**2 * s**-rho falls in
-    rho, and a chord of width h that starts at x is within h**2 * g''(x) / 8
-    of g on its whole width.  The region is cut into ``_CELLS`` cells, and
-    from the running position chords of width
-    sqrt(8 * tol * (1 - _SLACK) / g''(cell start)) are laid while they start
-    in the cell; the last may run past it, since g'' only falls.
+    rho, and a chord of width h that starts at x lies between 0 and
+    h**2 * g''(x) / 8 above g on its whole width.  ``rho_decomposition``
+    lowers every chord by half the largest such height (``_chord_bound``),
+    so a chord may rise up to 2 * tol above g: the region is cut into
+    ``_CELLS`` cells, and from the running position chords of width
+    sqrt(16 * tol * (1 - _SLACK) / g''(cell start)) are laid while they
+    start in the cell; the last may run past it, since g'' only falls.  A
+    line within tol of a convex g over width h needs h**2 * g'' / 16 <= tol,
+    so these are about the fewest pieces any linear fit within tol can take.
+    ``lead`` is the part of ``tol`` that the caller spends elsewhere: the
+    widths take tol - lead in place of tol, but at least tol / 2, so they
+    are never narrower than those of chords through g within tol.
 
     Rounding: the slack, 2**-8 of ``tol``, covers a few ulps in g'' and the
-    square root, and the few ulps of |g| by which the chord ends' values and
-    a later evaluation of g are rounded, while tol is above about
-    2**-40 * |g|.  Each width is also cut by 2**-50 * hi, two ulps of
-    ``hi``, the most by which rounding the chord ends p + i * h stretches a
-    chord.
+    square root, and the few ulps of |g| by which the chord ends' values,
+    their lowering and a later evaluation of g are rounded, while tol is
+    above about 2**-40 * |g|.  Each width is also cut by 2**-50 * hi, two
+    ulps of ``hi``, the most by which rounding the chord ends p + i * h
+    stretches a chord.
 
     The last chord ends on ``hi``; an end within ``EPS_CMP`` of ``hi`` moves
     to the middle of the last two chords, which keeps both within one
     certified width when that is at least ``EPS_CMP``.  The values at the
-    chord ends are one ``_objective_at`` call.  ``ValueError``, before any
-    chord is laid, when the width at ``lo`` (the narrowest) is below
-    max((hi - lo) / 2**40, 1e-12) and does not span the region.
+    chord ends are one ``_objective_at`` call, the doubles ``tad_objective``
+    gives.  ``ValueError``, before any chord is laid, when the width at
+    ``lo`` (the narrowest) is below max((hi - lo) / 2**40, 1e-12) and does
+    not span the region.
     """
     if not all(c > 0 for c, _ in terms):
         raise ValueError(f"a fitted set needs positive weights, got {[float(c) for c, _ in terms]}")
-    coef = np.array([c for c, _ in terms], dtype=float)
-    logs = np.log([s for _, s in terms])
     starts = lo + (hi - lo) / _CELLS * np.arange(_CELLS)
-    d2 = np.exp(-np.outer(starts, logs)) @ (coef * logs**2)
-    bound = 8.0 * tol * (1.0 - _SLACK)
+    bound = 16.0 * max(tol - lead, 0.5 * tol) * (1.0 - _SLACK)
     margin = 2.0**-50 * hi
     widths = [min(math.sqrt(bound / d) - margin if d > 0 else math.inf, hi - lo)
-              for d in d2.tolist()]
+              for d in _curvature(terms, starts).tolist()]
     floor = max((hi - lo) / 2**40, 1e-12)
     if widths[0] < min(floor, hi - lo):
         raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the chord on "
@@ -268,8 +278,26 @@ def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
     return np.stack([x[:-1], x[1:], g[:-1], g[1:]])
 
 
+def _curvature(terms, xs: np.ndarray) -> np.ndarray:
+    """g'' = sum c * ln(s)**2 * s**-x of one set's objective at every point of ``xs``."""
+    coef = np.array([c for c, _ in terms], dtype=float)
+    logs = np.log([s for _, s in terms])
+    return np.exp(-np.outer(xs, logs)) @ (coef * logs**2)
+
+
+def _chord_bound(terms, chords: np.ndarray) -> float:
+    """Largest certified height of ``_fit_chords``' chords above g: max h**2 * g''(start) / 8.
+
+    0.0 for a set with no span above 1 (g'' is 0) and at most
+    2 * tol * (1 - _SLACK), up to rounding, for chords fitted at ``tol``
+    (with ``lead``, at the tol that their widths took in its place).
+    """
+    lo, hi = chords[0], chords[1]
+    return float(np.max((hi - lo) ** 2 * _curvature(terms, lo))) / 8.0
+
+
 class TadDecomposition(NamedTuple):
-    fn: PiecewiseFunction1D  # chordal approximation of the optimal objective
+    fn: PiecewiseFunction1D  # lowered chords, within tol of the optimal objective
     tad_sets: list[TadSet]  # piece tags index into this list
     # always False: the root isolation is certified and has no count cap.  The
     # field stays because the benchmark tracer reads it.
@@ -289,12 +317,24 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     the sweep does not chase their rounding.  The optimum is probed at each
     interior root and the sub-intervals are searched in turn.  With no
     interior root the sets cross at an end, and the set higher at the
-    midpoint holds the interval.  Each region's objective is approximated by
-    chords within ``tol`` on their whole width, each as wide as the
-    curvature bound at its start allows (``_fit_chords``: widths certified
-    per 64th of the region, the chord ends one array pass); ``ValueError``
-    when ``tol`` needs chords narrower than 2**-40 of the region (or than
-    1e-12), naming a chord at that floor.  ``cap_warning`` is always False.
+    midpoint holds the interval.  A set change is placed only within
+    ``res``, so beside it the optimum can beat the region's set by up to
+    their gap at the region's end; ``lead`` is the largest such gap.  Once
+    the sweep is done, each region's objective is approximated by chords
+    that lie between 0 and 2 * (tol - lead) * (1 - 2**-8) above it (but
+    never narrower than for tol / 2 in place of tol - lead), each as wide as
+    the curvature bound at its start allows (``_fit_chords``: widths
+    certified per 64th of the region, the chord ends one array pass).  Every
+    chord end is then lowered by one constant delta, half the largest
+    certified height h**2 * g'' / 8 among all the chords (``_chord_bound``)
+    but at most (tol - lead) * (1 - 2**-8), so each piece is within
+    tol * (1 - 2**-8) of its set's objective and, while lead is below that
+    too, within ``tol`` of the optimum beside the set changes.  The end
+    values sit delta below ``tad_objective``'s, neighbouring pieces still
+    share their end values, and delta is 0 when no fitted set has a span
+    above 1.  ``ValueError`` when ``tol`` needs chords narrower than 2**-40
+    of the region (or than 1e-12), naming a chord at that floor.
+    ``cap_warning`` is always False.
     ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
     weight is then a finite double on the whole domain).
     """
@@ -304,8 +344,8 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     w.check_rho(rho_hi)
 
-    tag_of: dict[TadSet, int] = {}  # each fitted set -> its tag, in the order first fitted
-    fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag
+    regions: list[tuple[float, float, TadSet]] = []  # (lo, hi, the set that holds it)
+    lead = 0.0  # the most by which the optimum at a region's end beats the region's set
     res = max(tol * 1e-3, 1e-13)
 
     rho_hi = float(rho_hi)
@@ -313,6 +353,7 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     while todo:
         a, b, t_a, t_b = todo.pop()
         mid = 0.5 * (a + b)
+        held = t_a
         if t_a == t_b:
             # the difference to another set may cross zero twice inside
             t_mid, v_mid = tad_optimize(w, mid)
@@ -331,12 +372,28 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
                 continue
             # the sets cross at an end: the one higher at the midpoint holds it
             if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
-                t_a = t_b
-        own = [(w.c[i][j], float(j - i)) for i, j in t_a.intervals]
-        fits.append((_fit_chords(own, a, b, tol), tag_of.setdefault(t_a, len(tag_of))))
+                held = t_b
+            # the crossing is within res of an end, where the other set is optimal: beside
+            # that end it beats the held set by at most their gap there
+            lead = max(lead, *(tad_objective(w, t, x) - tad_objective(w, held, x)
+                               for t, x in ((t_a, a), (t_b, b))))
+        regions.append((a, b, held))
 
-    # the sweep takes regions left to right and each fit runs left to right
+    tag_of: dict[TadSet, int] = {}  # each fitted set -> its tag, in the order first fitted
+    fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag
+    height = 0.0  # the largest certified height of a chord above its set's objective
+    for a, b, held in regions:
+        own = [(w.c[i][j], float(j - i)) for i, j in held.intervals]
+        chords = _fit_chords(own, a, b, tol, lead)
+        height = max(height, _chord_bound(own, chords))
+        fits.append((chords, tag_of.setdefault(held, len(tag_of))))
+
+    # the sweep takes regions left to right and each fit runs left to right; lowered
+    # by half the largest height, every chord is within that half of its objective
+    # (with lead above tol / 2, by what the set changes leave of tol)
     lo, hi, vlo, vhi = np.concatenate([chords for chords, _ in fits], axis=1)
+    delta = min(0.5 * height, max(tol - lead, 0.0) * (1.0 - _SLACK))
+    vlo, vhi = vlo - delta, vhi - delta
     tags = np.repeat([tag for _, tag in fits], [chords.shape[1] for chords, _ in fits])
     slope = (vhi - vlo) / (hi - lo)
     pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))

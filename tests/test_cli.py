@@ -141,6 +141,25 @@ def test_tad_decompose_rejects_non_finite_inputs(tmp_path, capsys):
         assert f"{name} must be positive and finite, got {value}" in err
 
 
+def test_tad_rejects_a_nan_matrix_entry_as_non_finite(tmp_path, capsys):
+    # a NaN pair was once reported as asymmetry
+    path = tmp_path / "contacts.csv"
+    path.write_text("0,nan\nnan,0\n")
+    code, out, err = run_cli(capsys, "tad", "run", "--matrix", str(path), "--rho", "1")
+    assert code == 2 and out == ""
+    assert err == "error: matrix entries must be finite\n"
+
+
+def test_tad_rejects_a_symmetric_inf_pair(tmp_path, capsys):
+    # it passed every check: `tad run` warned and printed an empty set, `decompose` exited 0
+    path = tmp_path / "contacts.csv"
+    path.write_text("0,inf,1\ninf,0,1\n1,1,0\n")
+    for argv in (("run", "--rho", "1"), ("decompose",)):
+        code, out, err = run_cli(capsys, "tad", *argv, "--matrix", str(path))
+        assert code == 2 and out == "", argv
+        assert err == "error: matrix entries must be finite\n", argv
+
+
 def test_tad_decompose_tolerance_below_the_chord_fit_exits_2(capsys):
     # 14 x 14 planted-domain matrix: the first TAD input of the benchmark's dp_tune, seed 1
     # the chord fit's stack stays O(block x depth) on its way to the depth floor
@@ -495,6 +514,21 @@ def test_learn_run_rejects_malformed_json_shapes(tmp_path, capsys, config, field
     assert err.startswith(f"error: {field} must be")
 
 
+def test_missing_json_keys_are_named_as_missing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_schedule": [10], "trials": 2}))
+    code, out, err = run_cli(capsys, "learn", "run", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: missing key 'family'\n"
+    fasta = tmp_path / "rna.fa"
+    fasta.write_text(">r\nGCAUCGGC\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"pair": [[1, 8]]}\n')
+    code, out, err = run_cli(capsys, "fold", "decompose", "--input", str(fasta), "--truth", str(truth))
+    assert code == 2 and out == ""
+    assert err == "error: missing key 'pairs'\n"
+
+
 def test_fold_decompose_rejects_malformed_truth(tmp_path, capsys):
     fasta = tmp_path / "rna.fa"
     fasta.write_text(">r\nGCAUCGGC\n")
@@ -521,6 +555,24 @@ def test_run_commands_take_no_format(tmp_path, capsys):
         assert code == 0 and json.loads(out), argv
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2 and out == "" and "--format" in err, argv
+
+
+def test_greedy_format_needs_decompose(tmp_path, capsys):
+    # a single greedy run prints JSON whatever --format said
+    items = tmp_path / "items.csv"
+    items.write_text("10,10\n6,4\n5,5\n")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\nw 0 1.0\nw 1 1.6\n")
+    for argv in (["knapsack", "--input", str(items), "--capacity", "10"],
+                 ["mwis", "--input", str(graph)]):
+        code, out, _ = run_cli(capsys, "greedy", *argv)
+        assert code == 0 and json.loads(out), argv
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, "greedy", *argv, "--format", fmt)
+            assert code == 2 and out == "", (argv, fmt)
+            assert err == "error: --format needs --decompose\n", (argv, fmt)
+        code, out, _ = run_cli(capsys, "greedy", *argv, "--decompose", "--format", "csv")
+        assert code == 0 and out.startswith("piece_lo,piece_hi,slope,intercept,tag\n"), argv
 
 
 def test_tad_decompose_json_keys(capsys):
