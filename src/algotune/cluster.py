@@ -7,6 +7,15 @@ power mean of all pairwise distances (rho = 1 is average linkage).  Because
 C2 comparisons are linear in rho, each C2 run certifies the exact interval of
 rho keeping its merge sequence; C1 and C3 are evaluated pointwise only.
 
+A run keeps Lance–Williams tables of the smallest and largest distance
+between each pair of live clusters, and of each pair's merge value.  A merge
+updates one row of each: min and max merge exactly, and only the merged
+cluster's values are evaluated again.  So a run evaluates O(n^2) merge values
+in all, not O(n^3), and C3 gathers cross distances for those pairs only; each
+merge picks its pair with one argmin over the n x n value table.  A C2
+certificate replays the merges on the same span tables, one vector step per
+merge.
+
 Pruning a cluster tree to k clusters minimizes the k-median (medoid) cost by
 dynamic programming over the tree.
 """
@@ -15,7 +24,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +45,8 @@ class ClusterInstance:
         d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("need a square distance matrix")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         if (np.diag(d) != 0).any():
             raise ValueError("diagonal must be zero")
         if (d < 0).any():
@@ -52,6 +62,8 @@ class ClusterInstance:
     @classmethod
     def from_points(cls, points) -> "ClusterInstance":
         pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("distances must be finite")
         diff = pts[:, None, :] - pts[None, :, :]
         return cls(np.sqrt((diff**2).sum(axis=2)))
 
@@ -78,41 +90,52 @@ def _power_mean(vals: np.ndarray, rho: float) -> float:
     if (vals == 0).any() and rho < 0:
         return 0.0
     if abs(rho) > _LOGSPACE_RHO:
+        if not vals.any():
+            return 0.0
         logs = rho * np.log(vals)
         m = logs.max()
         return float(np.exp((m + np.log(np.exp(logs - m).mean())) / rho))
     return float((vals**rho).mean() ** (1.0 / rho))
 
 
+def _check_family(family: str, rho: float) -> None:
+    if family not in ("C1", "C2", "C3"):
+        raise ValueError(f"unknown merge family {family!r}")
+    if family == "C2" and not 0.0 <= rho <= 1.0:
+        raise ValueError("C2 requires rho in [0, 1]")
+    if family == "C1" and rho == 0.0:
+        raise ValueError("C1 is undefined at rho = 0")
+    if rho != rho:
+        raise ValueError(f"{family} is undefined at rho = nan")
+
+
+def _c1_value(rho: float, lo: float, hi: float) -> float:
+    """C1 value of a pair whose cross distances span ``[lo, hi]`` (floats, rho != 0)."""
+    if rho == INF:
+        return hi
+    if rho == -INF:
+        return lo
+    if (lo == 0.0 or hi == 0.0) and rho < 0:
+        return 0.0
+    if abs(rho) > _LOGSPACE_RHO:
+        ref = hi if rho > 0 else lo
+        if ref == 0.0:
+            return 0.0
+        body = (lo / ref) ** rho + (hi / ref) ** rho
+        return ref * body ** (1.0 / rho)
+    return (lo**rho + hi**rho) ** (1.0 / rho)
+
+
 def merge_value(family: str, rho: float, a, b, inst: ClusterInstance) -> float:
     """Distance between clusters ``a`` and ``b`` under merge family C1/C2/C3."""
+    _check_family(family, rho)
     vals = _pairwise(inst, a, b)
-    if (vals < 0).any():
-        raise ValueError("negative distances")
-    lo, hi = float(vals.min()), float(vals.max())
-    if family == "C2":
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("C2 requires rho in [0, 1]")
-        return rho * lo + (1.0 - rho) * hi
-    if family == "C1":
-        if rho == INF:
-            return hi
-        if rho == -INF:
-            return lo
-        if rho == 0.0:
-            raise ValueError("C1 is undefined at rho = 0")
-        if (lo == 0.0 or hi == 0.0) and rho < 0:
-            return 0.0
-        if abs(rho) > _LOGSPACE_RHO:
-            ref = hi if rho > 0 else lo
-            if ref == 0.0:
-                return 0.0
-            body = (lo / ref) ** rho + (hi / ref) ** rho
-            return ref * body ** (1.0 / rho)
-        return (lo**rho + hi**rho) ** (1.0 / rho)
     if family == "C3":
         return _power_mean(vals, rho)
-    raise ValueError(f"unknown merge family {family!r}")
+    lo, hi = float(vals.min()), float(vals.max())
+    if family == "C2":
+        return rho * lo + (1.0 - rho) * hi
+    return _c1_value(rho, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -144,39 +167,76 @@ class ClusterTree:
         return hash((self.n, self.merge_sequence()))
 
 
+class _SpanTables:
+    """Smallest (``lo``) and largest (``hi``) distance between live clusters.
+
+    Slot ``s`` holds the live cluster whose smallest point id is ``s``.  Merging
+    slots ``s < t`` makes row and column ``s`` the elementwise min / max of the
+    two old rows, which is exactly the span of the merged cluster against every
+    other one; slot ``t`` dies.  Rows of dead slots are stale.
+    """
+
+    def __init__(self, d: np.ndarray):
+        self.lo, self.hi = d.copy(), d.copy()
+        self.live = np.ones(len(d), dtype=bool)
+
+    def merge(self, s: int, t: int) -> None:
+        lo, hi = self.lo, self.hi
+        lo[s] = lo[:, s] = np.minimum(lo[s], lo[t])
+        hi[s] = hi[:, s] = np.maximum(hi[s], hi[t])
+        self.live[t] = False
+
+
 def agglomerate(inst: ClusterInstance, family: str, rho: float) -> ClusterTree:
     """Merge the closest cluster pair (per the family) until one remains.
 
     Ties break by the lexicographically smallest (min-id of one side, min-id
     of the other) pair, so identical inputs give identical trees.
+
+    ``vals[s, t]`` (``s < t`` live slots of ``_SpanTables``) holds the pair's
+    merge value, and ``+inf`` elsewhere, so the row-major ``argmin`` is the
+    smallest ``(value, s, t)``.  Each value is ``merge_value``'s, bit for bit:
+    C2 applies its arithmetic to the span tables for a whole row at once, C1
+    its scalar formula to each ``(lo, hi)``, and C3 calls it on the pair.  A
+    merge evaluates only the merged cluster's row again.
     """
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(inst.n)]
+    _check_family(family, rho)
+    n = inst.n
+    spans = _SpanTables(inst.d)
+    clusters = [(i,) for i in range(n)]
+
+    def pair_values(ss, ts):
+        """Merge values of the slot pairs ``(ss[k], ts[k])``, each ``ss[k] < ts[k]``."""
+        if family == "C2":
+            return rho * spans.lo[ss, ts] + (1.0 - rho) * spans.hi[ss, ts]
+        if family == "C1":
+            pair_lo, pair_hi = spans.lo[ss, ts].tolist(), spans.hi[ss, ts].tolist()
+            return [_c1_value(rho, lo, hi) for lo, hi in zip(pair_lo, pair_hi)]
+        return [merge_value(family, rho, clusters[s], clusters[t], inst)
+                for s, t in zip(ss.tolist(), ts.tolist())]
+
+    vals = np.full((n, n), INF)
+    ss, ts = np.triu_indices(n, 1)
+    vals[ss, ts] = pair_values(ss, ts)
     merges: list[Merge] = []
-    while len(clusters) > 1:
-        best = None
-        best_key = None
-        for x in range(len(clusters)):
-            for y in range(x + 1, len(clusters)):
-                a, b = clusters[x], clusters[y]
-                if a[0] > b[0]:
-                    a, b = b, a
-                val = merge_value(family, rho, a, b, inst)
-                key = (val, a[0], b[0])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (x, y, a, b)
-        x, y, a, b = best
-        merged = tuple(sorted(a + b))
-        clusters = [c for i, c in enumerate(clusters) if i not in (x, y)]
-        clusters.append(merged)
-        merges.append(Merge(a, b))
-    return ClusterTree(inst.n, merges)
+    for _ in range(n - 1):
+        s, t = divmod(int(vals.argmin()), n)
+        if vals[s, t] == INF:  # every live pair ties at +inf: the smallest ids win
+            s, t = np.flatnonzero(spans.live)[:2].tolist()
+        merges.append(Merge(clusters[s], clusters[t]))
+        clusters[s] = tuple(sorted(clusters[s] + clusters[t]))
+        spans.merge(s, t)
+        vals[t] = vals[:, t] = INF
+        others = np.flatnonzero(spans.live)
+        others = others[others != s]
+        ss, ts = np.minimum(others, s), np.maximum(others, s)
+        vals[ss, ts] = pair_values(ss, ts)
+    return ClusterTree(n, merges)
 
 
 def _medoid_cost(inst: ClusterInstance, members: Sequence[int]) -> float:
-    idx = list(members)
-    sub = inst.d[np.ix_(idx, idx)]
-    return float(sub.sum(axis=0).min())
+    idx = np.asarray(members)
+    return float(inst.d[idx[:, None], idx].sum(axis=0).min())
 
 
 def prune_tree(tree: ClusterTree, k: int, inst: ClusterInstance):
@@ -233,31 +293,41 @@ def c2_breakpoints(
     A C2 merge value is the line ``rho * min + (1 - rho) * max`` of a pair's
     distances.  A run certifies where each step's merged pair stays below
     every other pair of that step's clusters, which is exactly where the
-    merge sequence is unchanged.  Piece values are ``utility(tree)``.
+    merge sequence is unchanged.  Each run calls ``agglomerate`` once, then
+    replays its merges on span tables (``_c2_certificate``), so no pair's
+    distances are gathered.  Piece values are ``utility(tree)``.
     """
-
-    def span(a, b):
-        vals = _pairwise(inst, a, b)
-        return float(vals.min()), float(vals.max())
 
     def run(rho):
         tree = agglomerate(inst, "C2", rho)
-        l, r = -INF, INF
-        clusters = [(i,) for i in range(inst.n)]
-        for m in tree.merges:
-            lo1, hi1 = span(m.left, m.right)
-            for lo2, hi2 in (span(a, b) for a, b in combinations(clusters, 2)):
-                # merged minus other is (hi1 - hi2) + rho * slope, <= 0 at rho
-                slope = (lo1 - hi1) - (lo2 - hi2)
-                if slope > 0:
-                    r = min(r, (hi2 - hi1) / slope)
-                elif slope < 0:
-                    l = max(l, (hi2 - hi1) / slope)
-            clusters = [c for c in clusters if c not in (m.left, m.right)]
-            clusters.append(tuple(sorted(m.left + m.right)))
-        return utility(tree), l, r
+        return (utility(tree), *_c2_certificate(inst, tree))
 
     return sweep_constant(run, 0.0, 1.0)
+
+
+def _c2_certificate(inst: ClusterInstance, tree: ClusterTree) -> tuple[float, float]:
+    """The interval ``[l, r]`` of rho on which C2 agglomeration builds ``tree``.
+
+    Replays the merges on span tables.  At each, the merged pair's value minus
+    another live pair's is ``(hi1 - hi2) + rho * slope``, which must stay <= 0:
+    one vector step over all live pairs per merge.
+    """
+    n = inst.n
+    spans = _SpanTables(inst.d)
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)  # live pairs s < t
+    l, r = -INF, INF
+    for m in tree.merges:
+        s, t = m.left[0], m.right[0]
+        lo1, hi1 = spans.lo[s, t], spans.hi[s, t]
+        lo2, hi2 = spans.lo[pairs], spans.hi[pairs]
+        slope = (lo1 - hi1) - (lo2 - hi2)
+        gap = hi2 - hi1
+        up, down = slope > 0, slope < 0
+        r = min(r, float((gap[up] / slope[up]).min(initial=INF)))
+        l = max(l, float((gap[down] / slope[down]).max(initial=-INF)))
+        spans.merge(s, t)
+        pairs[t] = pairs[:, t] = False
+    return l, r
 
 
 def pair_counting_utility(

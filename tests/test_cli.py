@@ -350,6 +350,34 @@ def test_cluster_run_and_decompose(tmp_path, capsys):
     assert json.loads(out)["pieces"][0]["intercept"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("text,euclidean", [
+    ("0,inf,1\ninf,0,2\n1,2,0\n", False),  # C2 at rho = 0 merged the infinitely distant pair first
+    ("0,nan\nnan,0\n", False),  # was reported as asymmetry
+    ("inf,0\n1,1\n", True),  # was "diagonal must be zero", with a RuntimeWarning
+])
+def test_cluster_rejects_non_finite_distances(tmp_path, capsys, text, euclidean):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    truth = tmp_path / "truth.txt"
+    truth.write_text(" ".join("0" * len(text.splitlines())) + "\n")
+    flags = ["--euclidean"] if euclidean else []
+    for argv in (["run", "--rho", "0", "--k", "1"], ["decompose", "--k", "1", "--truth", str(truth)]):
+        code, out, err = run_cli(capsys, "cluster", *argv, "--input", str(path), *flags)
+        assert code == 2 and out == "", argv
+        assert err == "error: distances must be finite\n", argv
+
+
+@pytest.mark.parametrize("points", ["3,4\n", "3,4\n0,0\n"])
+def test_cluster_run_checks_rho_on_any_number_of_points(tmp_path, capsys, points):
+    # one point printed a result and exited 0
+    path = tmp_path / "points.csv"
+    path.write_text(points)
+    code, out, err = run_cli(capsys, "cluster", "run", "--input", str(path), "--euclidean",
+                             "--family", "C2", "--rho", "2", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == "error: C2 requires rho in [0, 1]\n"
+
+
 def test_mech_commands(tmp_path, capsys):
     vals = tmp_path / "values.csv"
     vals.write_text("3,0\n0,2\n0,0\n")

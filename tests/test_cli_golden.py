@@ -1,10 +1,12 @@
-"""Byte-for-byte CLI output of the alignment and folding commands on seeded inputs.
+"""Byte-for-byte CLI output of the alignment, folding and clustering commands on seeded inputs.
 
 ``tests/data/cli_golden.json`` holds, per case, the exact text that
 ``align run``/``decompose``, ``fold run``/``decompose`` and ``msa run`` wrote
 (``--format json`` and ``--format csv`` where the command has it) when the
-sweeps still solved one parameter per DP run.  Any change to breakpoints,
-tags, tie-breaks or float formatting shows up here as a diff.
+sweeps still solved one parameter per DP run, and that ``cluster run`` (C1, C2,
+C3) and ``cluster decompose`` wrote when agglomeration still gathered every
+pair's distances at every merge.  Any change to breakpoints, tags, tie-breaks,
+merge orders or float formatting shows up here as a diff.
 
 To record the file again (only for an intended output change)::
 
@@ -107,6 +109,41 @@ def write_inputs(tmp: Path) -> dict:
         tree = put(f"tree{i}.nwk", newick + ";\n")
         cases[f"msa_run_{i}"] = ["msa", "run", "--input", seqs, "--tree", tree,
                                  "--rho1", "0.5", "--rho2", "0.5", "--rho3", "0.5"]
+
+    crng = random.Random(2026)  # its own stream: the inputs above stay as recorded
+    rhos = {"C1": ("-inf", "-30", "-1.5", "0.5", "2", "25", "inf"),
+            "C2": ("0", "0.35", "0.5", "1"),
+            "C3": ("-inf", "-2", "0", "1", "3", "30")}
+    for i, (n, grid) in enumerate([(2, False), (7, False), (11, True), (14, False), (16, True)]):
+        if grid:  # integer coordinates: many tied and some zero distances
+            pts = [(crng.randrange(5), crng.randrange(5)) for _ in range(n)]
+        else:
+            pts = [(crng.gauss(4.0 * (j >= n // 2), 1.0), crng.gauss(0.0, 1.0)) for j in range(n)]
+        points = put(f"points{i}.csv", "".join(f"{x!r},{y!r}\n" for x, y in pts))
+        truth = put(f"labels{i}.txt", " ".join(str(int(j >= n // 2)) for j in range(n)) + "\n")
+        k = str(min(n, 2 + i % 2))
+        for family, values in rhos.items():
+            for rho in values:
+                cases[f"cluster_run_{i}_{family}_{rho}"] = [
+                    "cluster", "run", "--input", points, "--euclidean", "--family", family,
+                    f"--rho={rho}", "--k", k]
+        for fmt in ("json", "csv"):
+            cases[f"cluster_decompose_{i}_{fmt}"] = [
+                "cluster", "decompose", "--input", points, "--euclidean", "--k", k,
+                "--truth", truth, "--format", fmt]
+    n = 9  # a distance table of small integers: ties everywhere
+    table = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        table[a][b] = table[b][a] = crng.randint(1, 4)
+    dist = put("dist.csv", "".join(",".join(map(str, row)) + "\n" for row in table))
+    truth = put("dist_labels.txt", " ".join(str(j % 3) for j in range(n)) + "\n")
+    for family, values in rhos.items():
+        for rho in values:
+            cases[f"cluster_run_table_{family}_{rho}"] = [
+                "cluster", "run", "--input", dist, "--family", family, f"--rho={rho}", "--k", "3"]
+    for fmt in ("json", "csv"):
+        cases[f"cluster_decompose_table_{fmt}"] = [
+            "cluster", "decompose", "--input", dist, "--k", "3", "--truth", truth, "--format", fmt]
     return cases
 
 

@@ -110,6 +110,21 @@ def test_merge_value_c3_monotone_in_rho():
     assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_agglomerate_checks_family_and_rho_at_every_size(n):
+    inst = ClusterInstance(np.ones((n, n)) - np.eye(n))
+    for family, rho, message in (
+        ("C2", 2.0, r"C2 requires rho in \[0, 1\]"),
+        ("C2", math.nan, r"C2 requires rho in \[0, 1\]"),
+        ("C1", 0.0, "C1 is undefined at rho = 0"),
+        ("C1", math.nan, "C1 is undefined at rho = nan"),
+        ("C3", math.nan, "C3 is undefined at rho = nan"),
+        ("C4", 1.0, "unknown merge family 'C4'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            agglomerate(inst, family, rho)
+
+
 def test_agglomerate_two_points():
     inst = ClusterInstance([[0.0, 1.0], [1.0, 0.0]])
     tree = agglomerate(inst, "C2", 0.5)
@@ -238,6 +253,11 @@ def test_instance_validation_and_csv():
         ClusterInstance([[0.0, 1.0], [2.0, 0.0]])
     inst = ClusterInstance.from_csv("0,1\n1,0\n")
     assert inst.n == 2
+    for bad in ([[0.0, INF, 1.0], [INF, 0.0, 2.0], [1.0, 2.0, 0.0]], [[0.0, math.nan], [math.nan, 0.0]]):
+        with pytest.raises(ValueError, match="distances must be finite"):
+            ClusterInstance(bad)
+    with pytest.raises(ValueError, match="distances must be finite"):
+        ClusterInstance.from_points([[INF, 0.0], [1.0, 1.0]])
     pts = ClusterInstance.from_csv("0,0\n3,4\n", euclidean=True)
     assert pts.d[0][1] == pytest.approx(5.0)
 
