@@ -234,6 +234,8 @@ def _cmd_cluster(args) -> int:
         )
         return 0
     truth = [int(x) for x in _read(args.truth).replace(",", " ").split()]
+    if len(truth) != inst.n:
+        raise ValueError(f"truth has {len(truth)} labels for {inst.n} points")
     fn = cluster.c2_breakpoints(inst, cluster.pair_counting_utility(inst, truth, args.k))
     _emit(_pf_payload(fn, args.format), args.out)
     return 0

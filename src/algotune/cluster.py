@@ -12,9 +12,9 @@ between each pair of live clusters, and of each pair's merge value.  A merge
 updates one row of each: min and max merge exactly, and only the merged
 cluster's values are evaluated again.  So a run evaluates O(n^2) merge values
 in all, not O(n^3), and C3 gathers cross distances for those pairs only; each
-merge picks its pair with one argmin over the n x n value table.  A C2
-certificate replays the merges on the same span tables, one vector step per
-merge.
+merge picks its pair with one argmin over the n x n value table.  A C2 run
+certifies its interval in the same loop, one vector step over the span tables
+before each merge.
 
 Pruning a cluster tree to k clusters minimizes the k-median (medoid) cost by
 dynamic programming over the tree.
@@ -32,7 +32,8 @@ from .piecewise import PiecewiseFunction1D, sweep_constant
 
 INF = float("inf")
 
-#: beyond this |rho| the C1/C3 power means are computed in log space
+#: beyond this |rho|, or where the direct form's powers leave the float range,
+#: the C1/C3 power means are computed scaled or in log space
 _LOGSPACE_RHO = 20.0
 
 
@@ -89,13 +90,17 @@ def _power_mean(vals: np.ndarray, rho: float) -> float:
         return float(np.exp(np.log(vals).mean()))
     if (vals == 0).any() and rho < 0:
         return 0.0
-    if abs(rho) > _LOGSPACE_RHO:
-        if not vals.any():
-            return 0.0
+    if not vals.any():
+        return 0.0
+    with np.errstate(all="ignore"):
+        if abs(rho) <= _LOGSPACE_RHO:
+            # the direct form, unless its powers leave the float range
+            value = float((vals**rho).mean() ** (1.0 / rho))
+            if 0.0 < value < INF:
+                return value
         logs = rho * np.log(vals)
         m = logs.max()
         return float(np.exp((m + np.log(np.exp(logs - m).mean())) / rho))
-    return float((vals**rho).mean() ** (1.0 / rho))
 
 
 def _check_family(family: str, rho: float) -> None:
@@ -115,15 +120,22 @@ def _c1_value(rho: float, lo: float, hi: float) -> float:
         return hi
     if rho == -INF:
         return lo
-    if (lo == 0.0 or hi == 0.0) and rho < 0:
+    if hi == 0.0 or (lo == 0.0 and rho < 0):
         return 0.0
-    if abs(rho) > _LOGSPACE_RHO:
-        ref = hi if rho > 0 else lo
-        if ref == 0.0:
-            return 0.0
-        body = (lo / ref) ** rho + (hi / ref) ** rho
+    if abs(rho) <= _LOGSPACE_RHO:
+        # the direct form, unless its powers leave the float range
+        try:
+            value = (lo**rho + hi**rho) ** (1.0 / rho)
+        except (OverflowError, ZeroDivisionError):
+            value = 0.0
+        if 0.0 < value < INF:
+            return value
+    ref = hi if rho > 0 else lo
+    body = (lo / ref) ** rho + (hi / ref) ** rho
+    try:
         return ref * body ** (1.0 / rho)
-    return (lo**rho + hi**rho) ** (1.0 / rho)
+    except OverflowError:  # the value itself is past the float range
+        return INF
 
 
 def merge_value(family: str, rho: float, a, b, inst: ClusterInstance) -> float:
@@ -145,13 +157,18 @@ class Merge:
 
 
 class ClusterTree:
-    """Binary merge tree: n leaves, n-1 recorded merges in order."""
+    """Binary merge tree: n leaves, n-1 recorded merges in order.
 
-    def __init__(self, n: int, merges: Sequence[Merge]):
+    ``interval`` is the ``[l, r]`` of rho on which a C2 run builds this tree
+    (``None`` for C1 and C3); equality and hashing ignore it.
+    """
+
+    def __init__(self, n: int, merges: Sequence[Merge], interval=None):
         if len(merges) != n - 1:
             raise ValueError("a full agglomeration has n - 1 merges")
         self.n = n
         self.merges = tuple(merges)
+        self.interval = interval
 
     def merge_sequence(self):
         return tuple((m.left, m.right) for m in self.merges)
@@ -197,8 +214,15 @@ def agglomerate(inst: ClusterInstance, family: str, rho: float) -> ClusterTree:
     merge value, and ``+inf`` elsewhere, so the row-major ``argmin`` is the
     smallest ``(value, s, t)``.  Each value is ``merge_value``'s, bit for bit:
     C2 applies its arithmetic to the span tables for a whole row at once, C1
-    its scalar formula to each ``(lo, hi)``, and C3 calls it on the pair.  A
-    merge evaluates only the merged cluster's row again.
+    its scalar formula to each ``(lo, hi)``, and C3 its power mean to the
+    pair's gathered distances.  A merge evaluates only the merged cluster's
+    row again.
+
+    A C2 run also certifies the interval of rho that keeps its merges.  At
+    each merge, the merged pair's value minus another live pair's is
+    ``(hi1 - hi2) + rho * slope``, which must stay <= 0: one vector step over
+    the live pairs (C2 values are finite, so those are ``vals != inf``).  The
+    interval is kept as ``tree.interval``.
     """
     _check_family(family, rho)
     n = inst.n
@@ -212,17 +236,27 @@ def agglomerate(inst: ClusterInstance, family: str, rho: float) -> ClusterTree:
         if family == "C1":
             pair_lo, pair_hi = spans.lo[ss, ts].tolist(), spans.hi[ss, ts].tolist()
             return [_c1_value(rho, lo, hi) for lo, hi in zip(pair_lo, pair_hi)]
-        return [merge_value(family, rho, clusters[s], clusters[t], inst)
+        return [_power_mean(_pairwise(inst, clusters[s], clusters[t]), rho)
                 for s, t in zip(ss.tolist(), ts.tolist())]
 
     vals = np.full((n, n), INF)
     ss, ts = np.triu_indices(n, 1)
     vals[ss, ts] = pair_values(ss, ts)
     merges: list[Merge] = []
+    l, r = -INF, INF
     for _ in range(n - 1):
         s, t = divmod(int(vals.argmin()), n)
         if vals[s, t] == INF:  # every live pair ties at +inf: the smallest ids win
             s, t = np.flatnonzero(spans.live)[:2].tolist()
+        if family == "C2":
+            live = vals != INF
+            lo1, hi1 = spans.lo[s, t], spans.hi[s, t]
+            lo2, hi2 = spans.lo[live], spans.hi[live]
+            slope = (lo1 - hi1) - (lo2 - hi2)
+            gap = hi2 - hi1
+            up, down = slope > 0, slope < 0
+            r = min(r, float((gap[up] / slope[up]).min(initial=INF)))
+            l = max(l, float((gap[down] / slope[down]).max(initial=-INF)))
         merges.append(Merge(clusters[s], clusters[t]))
         clusters[s] = tuple(sorted(clusters[s] + clusters[t]))
         spans.merge(s, t)
@@ -231,7 +265,7 @@ def agglomerate(inst: ClusterInstance, family: str, rho: float) -> ClusterTree:
         others = others[others != s]
         ss, ts = np.minimum(others, s), np.maximum(others, s)
         vals[ss, ts] = pair_values(ss, ts)
-    return ClusterTree(n, merges)
+    return ClusterTree(n, merges, (l, r) if family == "C2" else None)
 
 
 def _medoid_cost(inst: ClusterInstance, members: Sequence[int]) -> float:
@@ -242,46 +276,39 @@ def _medoid_cost(inst: ClusterInstance, members: Sequence[int]) -> float:
 def prune_tree(tree: ClusterTree, k: int, inst: ClusterInstance):
     """k-cluster pruning of the tree minimizing total medoid (k-median) cost.
 
-    Returns ``(clusters, cost)``.  The tables are filled children first, in
-    one loop over the nodes; at each node, ties resolve to the first optimum
-    found, the split with the fewest clusters on the left.
+    Returns ``(clusters, cost)``.  The tables are filled at the leaves, then
+    at each merge in the tree's order, whose children are filled by then; at
+    each node, ties resolve to the first optimum found, the split with the
+    fewest clusters on the left.
     """
     if not 1 <= k <= tree.n:
         raise ValueError("k out of range")
 
-    children: dict[tuple[int, ...], tuple] = {}
+    # table[node][j] = (cost, list of clusters) for the best j-pruning below node
+    table: dict[tuple[int, ...], dict[int, tuple[float, list]]] = {
+        (i,): {1: (_medoid_cost(inst, (i,)), [(i,)])} for i in range(tree.n)
+    }
     for m in tree.merges:
-        children[tuple(sorted(m.left + m.right))] = (m.left, m.right)
-    root = tuple(range(tree.n))
-
-    order = [root]  # every parent before its children
-    for node in order:
-        order += children.get(node, ())
-
-    # table[node][j] = (cost, list of clusters) for the best j-pruning below node,
-    # filled children first
-    table: dict[tuple[int, ...], dict[int, tuple[float, list]]] = {}
-    for node in reversed(order):
+        node = tuple(sorted(m.left + m.right))
+        left, right = table[m.left], table[m.right]
         entry = {1: (_medoid_cost(inst, node), [node])}
-        if node in children:
-            left, right = children[node]
-            max_j = min(k, len(node))
-            for j in range(2, max_j + 1):
-                best = None
-                for jl in range(1, j):
-                    jr = j - jl
-                    if jl not in table[left] or jr not in table[right]:
-                        continue
-                    cand_cost = table[left][jl][0] + table[right][jr][0]
-                    if best is None or cand_cost < best[0]:
-                        best = (cand_cost, table[left][jl][1] + table[right][jr][1])
-                if best is not None:
-                    entry[j] = best
+        for j in range(2, min(k, len(node)) + 1):
+            best = None
+            for jl in range(1, j):
+                jr = j - jl
+                if jl not in left or jr not in right:
+                    continue
+                cand_cost = left[jl][0] + right[jr][0]
+                if best is None or cand_cost < best[0]:
+                    best = (cand_cost, left[jl][1] + right[jr][1])
+            if best is not None:
+                entry[j] = best
         table[node] = entry
 
-    if k not in table[root]:
+    root = table[tuple(range(tree.n))]
+    if k not in root:
         raise ValueError("tree cannot be pruned to k clusters")
-    cost, clusters = table[root][k]
+    cost, clusters = root[k]
     return clusters, cost
 
 
@@ -293,41 +320,16 @@ def c2_breakpoints(
     A C2 merge value is the line ``rho * min + (1 - rho) * max`` of a pair's
     distances.  A run certifies where each step's merged pair stays below
     every other pair of that step's clusters, which is exactly where the
-    merge sequence is unchanged.  Each run calls ``agglomerate`` once, then
-    replays its merges on span tables (``_c2_certificate``), so no pair's
-    distances are gathered.  Piece values are ``utility(tree)``.
+    merge sequence is unchanged.  Each run is one ``agglomerate`` call, which
+    certifies its interval as it merges (``tree.interval``).  Piece values
+    are ``utility(tree)``.
     """
 
     def run(rho):
         tree = agglomerate(inst, "C2", rho)
-        return (utility(tree), *_c2_certificate(inst, tree))
+        return (utility(tree), *tree.interval)
 
     return sweep_constant(run, 0.0, 1.0)
-
-
-def _c2_certificate(inst: ClusterInstance, tree: ClusterTree) -> tuple[float, float]:
-    """The interval ``[l, r]`` of rho on which C2 agglomeration builds ``tree``.
-
-    Replays the merges on span tables.  At each, the merged pair's value minus
-    another live pair's is ``(hi1 - hi2) + rho * slope``, which must stay <= 0:
-    one vector step over all live pairs per merge.
-    """
-    n = inst.n
-    spans = _SpanTables(inst.d)
-    pairs = np.triu(np.ones((n, n), dtype=bool), 1)  # live pairs s < t
-    l, r = -INF, INF
-    for m in tree.merges:
-        s, t = m.left[0], m.right[0]
-        lo1, hi1 = spans.lo[s, t], spans.hi[s, t]
-        lo2, hi2 = spans.lo[pairs], spans.hi[pairs]
-        slope = (lo1 - hi1) - (lo2 - hi2)
-        gap = hi2 - hi1
-        up, down = slope > 0, slope < 0
-        r = min(r, float((gap[up] / slope[up]).min(initial=INF)))
-        l = max(l, float((gap[down] / slope[down]).max(initial=-INF)))
-        spans.merge(s, t)
-        pairs[t] = pairs[:, t] = False
-    return l, r
 
 
 def pair_counting_utility(

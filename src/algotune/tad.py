@@ -144,9 +144,7 @@ def precompute_cij(m: ContactMatrix) -> TadWeights:
     return TadWeights(c)
 
 
-def tad_optimize(
-    w: TadWeights, rho: float, min_length: int = 1
-) -> tuple[TadSet, float]:
+def tad_optimize(w: TadWeights, rho: float) -> tuple[TadSet, float]:
     """Maximum-weight TAD set for one rho >= 0 (empty set allowed, objective 0).
 
     Weighted-interval scheduling over positions 1..n; co-optimal ties resolve
@@ -165,7 +163,7 @@ def tad_optimize(
 
     for p in range(1, n + 1):
         cands = [state[p - 1]]
-        for i in range(1, p - min_length + 1):
+        for i in range(1, p):
             val = w.weight(i, p, rho)
             pv, pints = state[i - 1]
             cands.append((pv + val, pints + ((i, p),)))

@@ -3,11 +3,17 @@
 This is the clustering kernel as it was before it kept span tables: at every
 merge ``agglomerate`` gathers the distances of every live cluster pair and
 evaluates ``merge_value`` on them, and each C2 run's certificate gathers every
-pair's span again.  It is kept verbatim, with one change: a power mean in log
-space over all-zero distances is 0 here, where it was NaN (a NaN key made the
-pick depend on the order of the scan).  The tests require the same trees and
-the same decompositions bit for bit.  It is a reference only; nothing under
-``src/`` imports it.
+pair's span again.  It is kept verbatim, with two changes:
+
+- a power mean in log space over all-zero distances is 0 here, where it was
+  NaN (a NaN key made the pick depend on the order of the scan);
+- where the direct C1 or C3 form raises, is not finite, or is 0 from nonzero
+  distances (its powers left the float range), the value comes from the
+  scaled / log-space form used for |rho| > 20, and a scaled C1 form past the
+  float range is +inf; these inputs raised or merged on +inf before.
+
+The tests require the same trees and the same decompositions bit for bit.  It
+is a reference only; nothing under ``src/`` imports it.
 """
 
 from itertools import combinations
@@ -37,13 +43,17 @@ def _power_mean(vals: np.ndarray, rho: float) -> float:
         return float(np.exp(np.log(vals).mean()))
     if (vals == 0).any() and rho < 0:
         return 0.0
-    if abs(rho) > _LOGSPACE_RHO:
-        if not vals.any():  # the one change: was NaN
-            return 0.0
+    if abs(rho) <= _LOGSPACE_RHO:
+        with np.errstate(all="ignore"):
+            value = float((vals**rho).mean() ** (1.0 / rho))
+        if 0.0 < value < INF or not vals.any():  # changed: was returned as is
+            return value
+    if not vals.any():  # changed: was NaN
+        return 0.0
+    with np.errstate(divide="ignore"):
         logs = rho * np.log(vals)
-        m = logs.max()
-        return float(np.exp((m + np.log(np.exp(logs - m).mean())) / rho))
-    return float((vals**rho).mean() ** (1.0 / rho))
+    m = logs.max()
+    return float(np.exp((m + np.log(np.exp(logs - m).mean())) / rho))
 
 
 def merge_value(family: str, rho: float, a, b, inst: ClusterInstance) -> float:
@@ -64,13 +74,21 @@ def merge_value(family: str, rho: float, a, b, inst: ClusterInstance) -> float:
             raise ValueError("C1 is undefined at rho = 0")
         if (lo == 0.0 or hi == 0.0) and rho < 0:
             return 0.0
-        if abs(rho) > _LOGSPACE_RHO:
-            ref = hi if rho > 0 else lo
-            if ref == 0.0:
-                return 0.0
-            body = (lo / ref) ** rho + (hi / ref) ** rho
+        if abs(rho) <= _LOGSPACE_RHO:
+            try:  # changed: a raise fell through
+                value = (lo**rho + hi**rho) ** (1.0 / rho)
+            except (OverflowError, ZeroDivisionError):
+                value = 0.0
+            if 0.0 < value < INF or hi == 0.0:  # changed: was returned as is
+                return value
+        ref = hi if rho > 0 else lo
+        if ref == 0.0:
+            return 0.0
+        body = (lo / ref) ** rho + (hi / ref) ** rho
+        try:
             return ref * body ** (1.0 / rho)
-        return (lo**rho + hi**rho) ** (1.0 / rho)
+        except OverflowError:  # changed: raised
+            return INF
     if family == "C3":
         return _power_mean(vals, rho)
     raise ValueError(f"unknown merge family {family!r}")

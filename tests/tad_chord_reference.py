@@ -4,8 +4,9 @@ This is ``rho_decomposition`` as it was before the chord fit was batched in
 numpy blocks: the same explicit-stack sweep over optimal sets, with
 ``emit_chords`` fitting one chord at a time, depth first and left half first,
 through ``tad_objective``.  It is kept verbatim so the tests can require
-byte-equal ``fn.to_json()`` and equal ``tad_sets`` from the batched fit.  It
-is a reference only; nothing under ``src/`` imports it.
+byte-equal ``fn.to_json()`` and equal ``tad_sets`` from the batched fit; only
+its ``min_length`` pass-through, which ``tad_optimize`` no longer takes, is
+gone.  It is a reference only; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from algotune.piecewise import PiecewiseFunction1D
 from algotune.tad import TadDecomposition, TadSet, TadWeights, tad_objective, tad_optimize
 
 
-def rho_decomposition(
-    w: TadWeights, rho_hi: float, tol: float, min_length: int = 1
-) -> TadDecomposition:
+def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposition:
     """Parameter decomposition of the optimal TAD objective on [0, rho_hi].
 
     Explicit-stack sweep in the shape of ``piecewise.sweep_linear``; each
@@ -78,13 +77,13 @@ def rho_decomposition(
                 segments.append((lo, hi, vlo, vhi, tag_of(t)))
 
     rho_hi = float(rho_hi)
-    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x, min_length)[0] for x in (0.0, rho_hi))]
+    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x)[0] for x in (0.0, rho_hi))]
     while todo:
         a, b, t_a, t_b = todo.pop()
         mid = 0.5 * (a + b)
         if t_a == t_b:
             # the difference to another set may cross zero twice inside
-            t_mid, v_mid = tad_optimize(w, mid, min_length)
+            t_mid, v_mid = tad_optimize(w, mid)
             if t_mid != t_a and v_mid > tad_objective(w, t_a, mid) + max(tol * 1e-3, 1e-12):
                 todo += [(mid, b, t_mid, t_b), (a, mid, t_a, t_mid)]
                 continue
@@ -97,7 +96,7 @@ def rho_decomposition(
             roots = [r for r in roots if a + res < r < b - res]
             if roots:
                 edges = [a] + roots + [b]
-                opts = [t_a] + [tad_optimize(w, x, min_length)[0] for x in roots] + [t_b]
+                opts = [t_a] + [tad_optimize(w, x)[0] for x in roots] + [t_b]
                 todo += reversed(list(zip(edges, edges[1:], opts, opts[1:])))
                 continue
             # the sets cross at an end: the one higher at the midpoint holds it

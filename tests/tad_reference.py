@@ -5,8 +5,9 @@ replaced: where the end sets differ it isolates the roots of their difference
 to ``tol`` and recurses, bisecting at the midpoint when no root lies inside,
 down to a width of ``max(tol * 1e-3, 1e-13)`` or a depth of 60.  It is kept
 verbatim so the tests can require the same optimal-set sequences, nearby
-breakpoints and values within ``tol``.  It is a reference only; nothing under
-``src/`` imports it.
+breakpoints and values within ``tol``; only its ``min_length`` pass-through,
+which ``tad_optimize`` no longer takes, is gone.  It is a reference only;
+nothing under ``src/`` imports it.
 """
 
 from algotune.bounds import exp_sum_roots
@@ -14,9 +15,7 @@ from algotune.piecewise import PiecewiseFunction1D
 from algotune.tad import TadDecomposition, TadSet, TadWeights, tad_objective, tad_optimize
 
 
-def rho_decomposition(
-    w: TadWeights, rho_hi: float, tol: float, min_length: int = 1
-) -> TadDecomposition:
+def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposition:
     """Parameter decomposition of the optimal TAD objective on [0, rho_hi].
 
     Recursive parametric search: optimize at interval endpoints; where the
@@ -66,7 +65,7 @@ def rho_decomposition(
             # guard against a different set winning strictly inside (the
             # difference may cross zero twice); one mid probe catches it
             mid = 0.5 * (lo + hi)
-            t_mid, v_mid = tad_optimize(w, mid, min_length)
+            t_mid, v_mid = tad_optimize(w, mid)
             if t_mid != t_lo and v_mid > tad_objective(w, t_lo, mid) + max(tol * 1e-3, 1e-12):
                 rec(lo, mid, t_lo, t_mid, depth + 1)
                 rec(mid, hi, t_mid, t_hi, depth + 1)
@@ -86,12 +85,12 @@ def rho_decomposition(
         else:
             cuts = roots
         edges = [lo] + cuts + [hi]
-        opts = [t_lo] + [tad_optimize(w, x, min_length)[0] for x in cuts] + [t_hi]
+        opts = [t_lo] + [tad_optimize(w, x)[0] for x in cuts] + [t_hi]
         for (a, b), (ta, tb) in zip(zip(edges, edges[1:]), zip(opts, opts[1:])):
             rec(a, b, ta, tb, depth + 1)
 
-    t0 = tad_optimize(w, 0.0, min_length)[0]
-    t1 = tad_optimize(w, float(rho_hi), min_length)[0]
+    t0 = tad_optimize(w, 0.0)[0]
+    t1 = tad_optimize(w, float(rho_hi))[0]
     rec(0.0, float(rho_hi), t0, t1, 0)
 
     segments.sort(key=lambda s: s[0])

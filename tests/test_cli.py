@@ -367,6 +367,30 @@ def test_cluster_rejects_non_finite_distances(tmp_path, capsys, text, euclidean)
         assert err == "error: distances must be finite\n", argv
 
 
+@pytest.mark.parametrize("family,rho", [("C1", "2"), ("C1", "-2"), ("C3", "2"), ("C3", "-2")])
+def test_cluster_run_with_powers_past_the_float_range(tmp_path, capsys, family, rho):
+    # 1e200 ** 2 overflows and 1e200 ** -2 underflows: C1 raised, C3 merged on +inf
+    path = tmp_path / "d.csv"
+    path.write_text("0,1e200,1\n1e200,0,2\n1,2,0\n")
+    code, out, err = run_cli(capsys, "cluster", "run", "--input", str(path),
+                             "--family", family, "--rho", rho, "--k", "2")
+    assert (code, err) == (0, "")
+    assert out == '{"clusters": [[0, 2], [1]], "cost": 1.0}\n'
+
+
+@pytest.mark.parametrize("labels", ["0 1\n", "0 1 1 0\n"])
+def test_cluster_decompose_checks_the_truth_label_count(tmp_path, capsys, labels):
+    # too few labels raised IndexError; too many were ignored
+    path = tmp_path / "points.csv"
+    path.write_text("0,0\n1,0\n5,5\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text(labels)
+    code, out, err = run_cli(capsys, "cluster", "decompose", "--input", str(path), "--euclidean",
+                             "--k", "2", "--truth", str(truth))
+    assert (code, out) == (2, "")
+    assert err == f"error: truth has {len(labels.split())} labels for 3 points\n"
+
+
 @pytest.mark.parametrize("points", ["3,4\n", "3,4\n0,0\n"])
 def test_cluster_run_checks_rho_on_any_number_of_points(tmp_path, capsys, points):
     # one point printed a result and exited 0

@@ -102,6 +102,17 @@ def test_merge_value_c1_limits_and_logspace():
         merge_value("C1", 0.0, a, b, inst)
 
 
+@pytest.mark.parametrize("rho", [2.0, -2.0])
+def test_merge_values_with_powers_past_the_float_range(rho):
+    # 1e200 ** 2 overflows and 1e200 ** -2 underflows: the scaled forms take over
+    inst = ClusterInstance([[0.0, 1e200, 1.0], [1e200, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert merge_value("C3", rho, (0,), (1,), inst) == pytest.approx(1e200, rel=1e-12)
+    want = 2.0 ** (1.0 / rho) * 1e200
+    assert merge_value("C1", rho, (0,), (1,), inst) == pytest.approx(want, rel=1e-12)
+    # an in-range value keeps the direct form's bits
+    assert merge_value("C1", rho, (0,), (2,), inst) == (1.0 + 1.0) ** (1.0 / rho)
+
+
 def test_merge_value_c3_monotone_in_rho():
     inst = random_instance(6)
     a, b = (0, 3), (1, 2, 5)

@@ -49,12 +49,13 @@ def test_c2_decompositions_equal_the_frozen_kernel():
 
 
 def test_pairs_tied_at_inf_merge_smallest_ids_first():
-    # every C3 value at rho = 3 overflows to +inf; the tie-break alone decides
+    # every C1 value at rho = 1e-4 is at least 2 ** 10000 times a distance, past
+    # the float range: the tie-break alone decides, though (2, 3) is the closest pair
     d = np.full((4, 4), 1e200)
+    d[2, 3] = d[3, 2] = 1.0
     np.fill_diagonal(d, 0.0)
     inst = ClusterInstance(d)
-    with np.errstate(over="ignore"):
-        got, want = agglomerate(inst, "C3", 3.0), ref.agglomerate(inst, "C3", 3.0)
+    got, want = agglomerate(inst, "C1", 1e-4), ref.agglomerate(inst, "C1", 1e-4)
     assert got == want
     assert got.merges[0] == Merge((0,), (1,))
 
@@ -66,11 +67,12 @@ def test_zero_distance_pairs_merge_first_at_large_rho():
 
 
 def test_c2_decomposition_gathers_no_pair_distances(monkeypatch):
-    # two 15-point blobs: 34 runs, about 5 s when each run gathered every pair's distances
+    # two 15-point blobs: 34 runs, about 5 s when each run gathered every pair's
+    # distances; one span table per run, where the certificate built a second
     local = np.random.default_rng(1)
     pts = np.vstack([local.normal(0, 1, (15, 2)), local.normal(4, 1, (15, 2))])
     inst = ClusterInstance.from_points(pts)
-    calls = {"_pairwise": 0, "agglomerate": 0}
+    calls = {"_pairwise": 0, "agglomerate": 0, "_SpanTables": 0}
 
     def counted(name):
         inner = getattr(cluster, name)
@@ -84,4 +86,22 @@ def test_c2_decomposition_gathers_no_pair_distances(monkeypatch):
     for name in calls:
         monkeypatch.setattr(cluster, name, counted(name))
     c2_breakpoints(inst, pair_counting_utility(inst, [0] * 15 + [1] * 15, 2))
-    assert calls == {"_pairwise": 0, "agglomerate": 34}
+    assert calls == {"_pairwise": 0, "agglomerate": 34, "_SpanTables": 34}
+
+
+def test_c2_trees_hold_where_their_interval_says():
+    for case, inst in instances(1604, 30, 10):
+        for rho in (0.0, 0.2, 0.5, 0.77, 1.0):
+            tree = agglomerate(inst, "C2", rho)
+            l, r = tree.interval
+            assert l <= rho <= r, (case, rho)
+            lo, hi = max(l, 0.0), min(r, 1.0)
+            for x in np.linspace(lo, hi, 11)[1:-1].tolist():  # ends may tie
+                assert agglomerate(inst, "C2", x) == tree, (case, rho, x)
+
+
+def test_only_c2_trees_carry_an_interval():
+    inst = ClusterInstance.from_points([[0.0], [1.0], [3.0]])
+    assert agglomerate(inst, "C2", 0.5).interval == (-INF, INF)
+    assert agglomerate(inst, "C1", 2.0).interval is None
+    assert agglomerate(inst, "C3", 2.0).interval is None

@@ -15,7 +15,6 @@ from algotune.seqalign import (
     alignment_from_fasta,
     consensus,
     del_gaps,
-    enumerate_alignments,
     gen_lb_sequences,
     indel_breakpoints,
     lb_verify,
@@ -27,6 +26,7 @@ from algotune.seqalign import (
     sequences_from_fasta,
     utility_breakpoints,
 )
+from alignment_oracle import enumerate_alignments
 
 rng = np.random.default_rng(42)
 

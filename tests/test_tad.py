@@ -47,9 +47,9 @@ def naive_cij(m: ContactMatrix):
     return c
 
 
-def all_tad_sets(n, min_length=1):
+def all_tad_sets(n):
     intervals = [
-        (i, j) for i in range(1, n + 1) for j in range(i + min_length, n + 1)
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
     sets = [TadSet()]
     def rec(start, acc):
@@ -177,18 +177,6 @@ def test_utility_cases():
     assert tad_utility(TadSet(), truth) == 0.0
     assert tad_utility(TadSet(), TadSet()) == 1.0
     assert tad_utility(TadSet([(2, 4)]), TadSet()) == 0.0
-
-
-def test_min_length_knob():
-    n = 5
-    c = np.full((n + 1, n + 1), -1.0)
-    c[2][3] = 5.0
-    c[1][4] = 2.0
-    w = TadWeights(c)
-    ts, _ = tad_optimize(w, 0.0, min_length=1)
-    assert ts == TadSet([(2, 3)])
-    ts2, _ = tad_optimize(w, 0.0, min_length=3)
-    assert ts2 == TadSet([(1, 4)])
 
 
 def test_contact_matrix_csv_and_validation():

@@ -73,9 +73,9 @@ def test_analytic_crossing_takes_four_solves(monkeypatch):
     calls = []
     solve = tad.tad_optimize
 
-    def counted(w, rho, min_length=1):
+    def counted(w, rho):
         calls.append(rho)
-        return solve(w, rho, min_length)
+        return solve(w, rho)
 
     monkeypatch.setattr(tad, "tad_optimize", counted)
     dec = rho_decomposition(TadWeights(c), 3.0, TOL)
