@@ -75,6 +75,8 @@ def pdim_from_oscillations(B: int) -> int:
 
 def log_inequality_bound(a: float, b: float) -> float:
     """Explicit bound 4a*ln(2a) + 2b on any y with y < a*ln(y) + b."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("a and b must be finite")
     if a < 1 or b <= 0:
         raise ValueError("need a >= 1 and b > 0")
     return 4.0 * a * math.log(2.0 * a) + 2.0 * b

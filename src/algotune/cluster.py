@@ -23,6 +23,7 @@ dynamic programming over the tree.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,9 +33,11 @@ from .piecewise import PiecewiseFunction1D, sweep_constant
 
 INF = float("inf")
 
-#: beyond this |rho|, or where the direct form's powers leave the float range,
+#: beyond this |rho|, or where the direct form's powers leave the normal float
+#: range (a sum or mean of powers below ``_TINY`` keeps few significant bits),
 #: the C1/C3 power means are computed scaled or in log space
 _LOGSPACE_RHO = 20.0
+_TINY = sys.float_info.min
 
 
 class ClusterInstance:
@@ -94,8 +97,9 @@ def _power_mean(vals: np.ndarray, rho: float) -> float:
         return 0.0
     with np.errstate(all="ignore"):
         if abs(rho) <= _LOGSPACE_RHO:
-            # the direct form, unless its powers leave the float range
-            value = float((vals**rho).mean() ** (1.0 / rho))
+            # the direct form, unless its powers leave the normal float range
+            mean = (vals**rho).mean()
+            value = float(mean ** (1.0 / rho)) if mean >= _TINY else 0.0
             if 0.0 < value < INF:
                 return value
         logs = rho * np.log(vals)
@@ -123,10 +127,11 @@ def _c1_value(rho: float, lo: float, hi: float) -> float:
     if hi == 0.0 or (lo == 0.0 and rho < 0):
         return 0.0
     if abs(rho) <= _LOGSPACE_RHO:
-        # the direct form, unless its powers leave the float range
+        # the direct form, unless its powers leave the normal float range
         try:
-            value = (lo**rho + hi**rho) ** (1.0 / rho)
-        except (OverflowError, ZeroDivisionError):
+            body = lo**rho + hi**rho
+            value = body ** (1.0 / rho) if body >= _TINY else 0.0
+        except OverflowError:
             value = 0.0
         if 0.0 < value < INF:
             return value

@@ -20,12 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import finite_class_bound, spa_estimation_bound
-from .mechanisms import (
-    FiniteDistribution,
-    anonymous_reserve_duals,
-    build_nam_distribution,
-    expected_utility,
-)
+from .mechanisms import anonymous_reserve_duals, build_nam_distribution
 from .piecewise import PiecewiseBatch, PiecewiseFunction1D
 
 # learn does not call these; bench/tracer.py wraps them where learn binds them.
@@ -103,15 +98,6 @@ def erm(duals: Sequence[PiecewiseFunction1D] | PiecewiseBatch):
         duals = PiecewiseBatch.of(duals)
     res = duals.mean().argmax()
     return res.param, res.value
-
-
-def estimation_error(param, sample: Sequence, dist: FiniteDistribution, utility) -> float:
-    """|average utility over the sample - exact expected utility| at ``param``."""
-    if not sample:
-        raise ValueError("need a nonempty sample")
-    avg = math.fsum(utility(param, x) for x in sample) / len(sample)
-    exp = expected_utility(dist, lambda x: utility(param, x))
-    return abs(avg - exp)
 
 
 def _trial_rng(seed: int, trial: int, n: int) -> np.random.Generator:
@@ -248,15 +234,17 @@ class _NamOverfitFamily:
                 _parse(int, p.get("n_group1", 870), "params.n_group1", "an integer"),
                 _parse(int, p.get("n_group2", 1677), "params.n_group2", "an integer"),
             )
-        dist = build_nam_distribution(
+        a, b = build_nam_distribution(
             _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] number pairs"),
             n_profiles=self.n_profiles,
             rng=np.random.default_rng([cfg.seed, 101]),
         )
-        self.dist = dist
         self.n_agents = 2 * self.n_profiles
-        self.w_seen = np.array([prof.welfare(prof.a) for prof in dist.support])
-        self.w_unseen = np.array([prof.welfare(prof.b) for prof in dist.support])
+        # welfare a[j] + b[j] at the alternative j that the weights pick (ties to 0):
+        # a seen profile's weights follow its group-1 agent, an unseen one's its group-2 agent
+        both = a + b
+        self.w_seen = np.where(a[:, 0] >= a[:, 1], both[:, 0], both[:, 1])
+        self.w_unseen = np.where(b[:, 0] >= b[:, 1], both[:, 0], both[:, 1])
 
     @staticmethod
     def _synthetic_pairs(n1: int, n2: int) -> list[tuple[float, float]]:

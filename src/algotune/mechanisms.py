@@ -8,22 +8,19 @@ transfers credited to each agent (negative means the agent is charged);
 quasilinear utility is therefore value-at-outcome plus transfer, which is
 what makes truthful reporting optimal.
 
-The second half of the module builds the finite valuation distributions used
-by the estimation-error experiments: single-bidder profiles from one ratings
-column, and two-bidder profiles from a pair of rating groups.  Support
-elements are kept sparse (one or two nonzero agents) so exact expectations
-over ten-thousand-profile supports stay cheap; dense matrices are available
-on demand for cross-checks.
+The second half covers second-price auctions: revenue under per-agent or
+anonymous reserves, and the exact piecewise revenue dual of the anonymous
+reserve, one auction at a time or many as one batch.  ``build_nam_distribution``
+draws the two-bidder value pairs of the voting-mechanism experiment; the
+estimation-error experiments themselves, with exact expectations on arrays,
+are ``learn.run_experiment``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,6 +164,8 @@ def spa_revenue(bids: Sequence[float], reserves) -> float:
         rvec = [float(r) for r in reserves]
         if len(rvec) != len(bids):
             raise ValueError("reserve vector does not match the bidders")
+    if not all(math.isfinite(x) for x in bids + rvec):
+        raise ValueError("bids and reserves must be finite")
     if any(r < 0 for r in rvec):
         raise ValueError("reserves must be nonnegative")
 
@@ -215,291 +214,30 @@ def anonymous_reserve_duals(top, second, hi: float = 1.0) -> PiecewiseBatch:
     return PiecewiseBatch(0.0, float(hi), seg_lo[keep], slopes, icepts).canonical()
 
 
-class SingleBidProfile:
-    """Sparse valuation vector: agent ``agent`` bids ``value``, all others 0."""
-
-    __slots__ = ("agent", "value", "n_agents")
-
-    def __init__(self, agent: int, value: float, n_agents: int):
-        self.agent = agent
-        self.value = value
-        self.n_agents = n_agents
-
-    def to_bids(self) -> np.ndarray:
-        bids = np.zeros(self.n_agents)
-        bids[self.agent] = self.value
-        return bids
-
-    def __repr__(self):
-        return f"SingleBidProfile(agent={self.agent}, value={self.value})"
-
-
-def overfit_reserves(
-    sample: Sequence[SingleBidProfile],
-    all_values: Sequence[float],
-    fallback: float = 0.75,
-) -> np.ndarray:
-    """Empirically optimal non-anonymous reserves with poor generalization.
-
-    Agents whose profile appears in the sample get their own value as the
-    reserve (extracting the full bid); every unseen agent gets ``fallback``.
-    """
-    reserves = np.full(len(all_values), float(fallback))
-    for prof in sample:
-        if not isinstance(prof, SingleBidProfile):
-            raise ValueError("sample profiles must be single-bidder profiles")
-        if prof.n_agents != len(all_values):
-            raise ValueError("profile size does not match the value list")
-        reserves[prof.agent] = all_values[prof.agent]
-    return reserves
-
-
-def nam_overfit_params(sample_indices: Iterable[int], support_size: int) -> NamParams:
-    """Weight vector with high training welfare and poor expected welfare.
-
-    For each support index i: seen -> weight 1 on agent i, 0 on agent
-    support_size + i; unseen -> the reverse.  Agents beyond 2 * support_size
-    do not exist in this construction.
-    """
-    if support_size < 1:
-        raise ValueError("support_size must be >= 1")
-    seen = set(sample_indices)
-    w = [0.0] * (2 * support_size)
-    for i in range(support_size):
-        if i in seen:
-            w[i] = 1.0
-        else:
-            w[support_size + i] = 1.0
-    return NamParams(tuple(w))
-
-
-@dataclass
-class FiniteDistribution:
-    """Finite-support distribution with exact expectations by enumeration."""
-
-    support: list
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        if len(self.support) != len(self.probabilities):
-            raise ValueError("support and probabilities must align")
-        if (self.probabilities < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        if abs(self.probabilities.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-
-    @classmethod
-    def uniform(cls, support: list) -> "FiniteDistribution":
-        k = len(support)
-        if k == 0:
-            raise ValueError("need a nonempty support")
-        return cls(support, np.full(k, 1.0 / k))
-
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(len(self.support), size=n, p=self.probabilities)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "probabilities": self.probabilities.tolist(),
-                "support": [_profile_to_dict(x) for x in self.support],
-            }
-        )
-
-
-def _profile_to_dict(x) -> dict:
-    if isinstance(x, SingleBidProfile):
-        return {
-            "kind": "single_bid",
-            "agent": x.agent,
-            "value": x.value,
-            "n_agents": x.n_agents,
-        }
-    if isinstance(x, TwoBidderProfile):
-        return {
-            "kind": "two_bidder",
-            "index": x.index,
-            "offset": x.offset,
-            "a": list(x.a),
-            "b": list(x.b),
-            "n_agents": x.n_agents,
-        }
-    if isinstance(x, ValuationProfile):
-        return {"kind": "dense", "matrix": x.matrix.tolist()}
-    raise ValueError(f"cannot serialize support element of type {type(x).__name__}")
-
-
-def expected_utility(dist: FiniteDistribution, utility: Callable) -> float:
-    """Exact expectation sum_k p_k * utility(x_k) over the support."""
-    return math.fsum(
-        p * utility(x) for p, x in zip(dist.probabilities.tolist(), dist.support)
-    )
-
-
-# -- Jester-style ingestion and distribution builders -------------------------
-
-MISSING_MARKER = 99.0
-
-
-class RatingsTable:
-    """User x joke ratings with NaN for missing entries."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def per_joke(self) -> list[list[float]]:
-        return [
-            [float(x) for x in col[~np.isnan(col)]] for col in self.matrix.T
-        ]
-
-    def joke_pair(self, j1: int, j2: int) -> list[tuple[float, float]]:
-        """Aligned (joke j1, joke j2) rating pairs over users who rated both."""
-        a, b = self.matrix[:, j1], self.matrix[:, j2]
-        mask = ~np.isnan(a) & ~np.isnan(b)
-        return [(float(x), float(y)) for x, y in zip(a[mask], b[mask])]
-
-
-def ingest_jester(
-    text: str, normalization: str, has_count_column: bool | None = None
-) -> RatingsTable:
-    """Parse ratings CSV text with values in [-10, 10] and 99 as missing marker.
-
-    ``text`` is the CSV content itself, not a path.  ``normalization`` is
-    ``"to_unit"`` (x -> (x+10)/20) or ``"to_centered"`` (x -> x/20).  A
-    header row is skipped if present; a leading rating-count column is
-    dropped when detected (or as directed).
-    """
-    if normalization not in ("to_unit", "to_centered"):
-        raise ValueError("normalization must be 'to_unit' or 'to_centered'")
-
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(x.strip() for x in r)]
-
-    def numeric(row):
-        try:
-            return [float(x) for x in row]
-        except ValueError:
-            return None
-
-    if rows and numeric(rows[0]) is None:
-        rows = rows[1:]  # header
-    if not rows:
-        raise ValueError("no data rows")
-    parsed = []
-    for ridx, row in enumerate(rows):
-        vals = numeric(row)
-        if vals is None:
-            raise ValueError(f"non-numeric data in row {ridx + 1}")
-        parsed.append(vals)
-    widths = {len(r) for r in parsed}
-    if len(widths) != 1:
-        raise ValueError("ragged rows in ratings input")
-
-    if has_count_column is None:
-        first = [r[0] for r in parsed]
-        has_count_column = (
-            len(parsed[0]) > 1
-            and all(x == int(x) and x >= 0 for x in first)
-            and any(x > 10 for x in first)
-        )
-    if has_count_column:
-        parsed = [r[1:] for r in parsed]
-
-    mat = np.asarray(parsed)
-    for ridx, row in enumerate(parsed):
-        for cidx, x in enumerate(row):
-            if x != MISSING_MARKER and not -10.0 <= x <= 10.0:
-                raise ValueError(
-                    f"rating {x} out of range at row {ridx + 1}, column {cidx + 1}"
-                )
-    missing = mat == MISSING_MARKER
-    if normalization == "to_unit":
-        mat = (mat + 10.0) / 20.0
-    else:
-        mat = mat / 20.0
-    mat[missing] = np.nan
-    return RatingsTable(mat)
-
-
-def build_spa_distribution(
-    ratings: Sequence[float],
-    low_band: tuple[float, float] = (0.25, 0.5),
-    high_band: tuple[float, float] = (0.75, 1.0),
-    threshold: int = 5000,
-) -> FiniteDistribution:
-    """Uniform distribution of single-bidder profiles from one joke's ratings.
-
-    The joke must have at least ``threshold`` ratings in each band; the
-    support has one profile per qualifying value, with that value as the sole
-    nonzero bid.
-    """
-    low = [r for r in ratings if low_band[0] <= r <= low_band[1]]
-    high = [r for r in ratings if high_band[0] <= r <= high_band[1]]
-    if len(low) < threshold or len(high) < threshold:
-        raise ValueError(
-            f"joke does not qualify: {len(low)} ratings in {low_band}, "
-            f"{len(high)} in {high_band}, need {threshold} in each"
-        )
-    values = low + high
-    n = len(values)
-    support = [SingleBidProfile(i, v, n) for i, v in enumerate(values)]
-    return FiniteDistribution.uniform(support)
-
-
-class TwoBidderProfile:
-    """Profile with agents ``index`` and ``offset + index`` holding 2-alternative values."""
-
-    __slots__ = ("index", "offset", "a", "b", "n_agents")
-
-    def __init__(self, index, offset, a, b, n_agents):
-        self.index = index
-        self.offset = offset
-        self.a = (float(a[0]), float(a[1]))
-        self.b = (float(b[0]), float(b[1]))
-        self.n_agents = n_agents
-
-    def to_profile(self) -> ValuationProfile:
-        m = np.zeros((self.n_agents, 2))
-        m[self.index] = self.a
-        m[self.offset + self.index] = self.b
-        return ValuationProfile(m)
-
-    def welfare(self, scores: tuple[float, float]) -> float:
-        j = 0 if scores[0] >= scores[1] else 1
-        return self.a[j] + self.b[j]
+# -- value pairs of the voting-mechanism experiment ----------------------------
 
 
 def build_nam_distribution(
     pairs: Sequence[tuple[float, float]],
-    group1=lambda r: r[0] >= 0.35 and r[1] <= 0,
-    group2=lambda r: r[0] <= 0 and 0 < r[1] <= 0.15,
     n_profiles: int = 500,
     rng: np.random.Generator | None = None,
-) -> FiniteDistribution:
-    """Uniform distribution of two-bidder profiles from two rating groups.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value pairs of ``n_profiles`` two-bidder profiles drawn from two rating groups.
 
-    Profile i draws agent i's value pair from group 1 and agent
-    ``n_profiles + i``'s pair from group 2 (uniformly, via ``rng``); all other
-    agents value everything at zero.
+    Group 1 holds the pairs (x, y) with x >= 0.35 and y <= 0, group 2 those
+    with x <= 0 and 0 < y <= 0.15.  Profile i draws agent i's pair ``a[i]``
+    from group 1, then agent ``n_profiles + i``'s pair ``b[i]`` from group 2
+    (uniformly, via ``rng``); all other agents value everything at zero.
+    Returns ``(a, b)``, two (n_profiles, 2) arrays.
     """
     if n_profiles < 1:
         raise ValueError(f"n_profiles must be >= 1, got {n_profiles}")
     if rng is None:
         rng = np.random.default_rng(0)
-    a1 = [r for r in pairs if group1(r)]
-    a2 = [r for r in pairs if group2(r)]
+    a1 = [r for r in pairs if r[0] >= 0.35 and r[1] <= 0]
+    a2 = [r for r in pairs if r[0] <= 0 and 0 < r[1] <= 0.15]
     if not a1 or not a2:
         raise ValueError(f"empty rating group: |A1|={len(a1)}, |A2|={len(a2)}")
-    support = [
-        TwoBidderProfile(
-            i,
-            n_profiles,
-            a1[int(rng.integers(len(a1)))],
-            a2[int(rng.integers(len(a2)))],
-            2 * n_profiles,
-        )
-        for i in range(n_profiles)
-    ]
-    return FiniteDistribution.uniform(support)
+    # one draw per group per profile, in this order: the stream fixes the profiles
+    i1, i2 = np.array([(rng.integers(len(a1)), rng.integers(len(a2))) for _ in range(n_profiles)]).T
+    return np.asarray(a1, dtype=float)[i1], np.asarray(a2, dtype=float)[i2]

@@ -10,12 +10,16 @@ pair's span again.  It is kept verbatim, with two changes:
 - where the direct C1 or C3 form raises, is not finite, or is 0 from nonzero
   distances (its powers left the float range), the value comes from the
   scaled / log-space form used for |rho| > 20, and a scaled C1 form past the
-  float range is +inf; these inputs raised or merged on +inf before.
+  float range is +inf; these inputs raised or merged on +inf before;
+- the scaled / log-space form is also used where the sum of powers (C1) or
+  their mean (C3) is below the smallest normal float, whose few significant
+  bits made such values off by up to about 1e-5 relative.
 
 The tests require the same trees and the same decompositions bit for bit.  It
 is a reference only; nothing under ``src/`` imports it.
 """
 
+import sys
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -26,6 +30,7 @@ from algotune.piecewise import PiecewiseFunction1D, sweep_constant
 
 INF = float("inf")
 _LOGSPACE_RHO = 20.0
+_TINY = sys.float_info.min
 
 
 def _pairwise(inst: ClusterInstance, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
@@ -45,7 +50,8 @@ def _power_mean(vals: np.ndarray, rho: float) -> float:
         return 0.0
     if abs(rho) <= _LOGSPACE_RHO:
         with np.errstate(all="ignore"):
-            value = float((vals**rho).mean() ** (1.0 / rho))
+            mean = (vals**rho).mean()
+            value = float(mean ** (1.0 / rho)) if mean >= _TINY else 0.0  # changed: subnormal mean
         if 0.0 < value < INF or not vals.any():  # changed: was returned as is
             return value
     if not vals.any():  # changed: was NaN
@@ -76,7 +82,8 @@ def merge_value(family: str, rho: float, a, b, inst: ClusterInstance) -> float:
             return 0.0
         if abs(rho) <= _LOGSPACE_RHO:
             try:  # changed: a raise fell through
-                value = (lo**rho + hi**rho) ** (1.0 / rho)
+                body = lo**rho + hi**rho
+                value = body ** (1.0 / rho) if body >= _TINY else 0.0  # changed: subnormal sum
             except (OverflowError, ZeroDivisionError):
                 value = 0.0
             if 0.0 < value < INF or hi == 0.0:  # changed: was returned as is

@@ -422,6 +422,23 @@ def test_mech_commands(tmp_path, capsys):
     assert json.loads(out)["shattered"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    # printed "revenue": NaN, which is not JSON
+    ("mech", "spa", "--bids", "1,nan", "--reserve", "0.5"),
+    # each printed revenue 1.0
+    ("mech", "spa", "--bids", "1,2", "--reserve", "nan"),
+    ("mech", "spa", "--bids", "1,2", "--reserve", "0.5,nan"),
+    ("mech", "spa", "--bids", "inf,2", "--reserve", "0.5"),
+    # printed nan, since nan < 1 is false
+    ("bounds", "loginequality", "--a", "nan", "--b", "1"),
+    ("bounds", "loginequality", "--a", "2", "--b", "inf"),
+])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_formats_encode_identical_pieces(tmp_path, capsys):
     kp = tmp_path / "items.csv"
     kp.write_text("10,10\n6,4\n5,5\n")

@@ -13,6 +13,7 @@ from algotune.cluster import (
     pair_counting_utility,
     prune_tree,
 )
+from cluster_reference import merge_value as reference_merge_value
 from prune_reference import prune_tree as reference_prune_tree
 
 rng = np.random.default_rng(8)
@@ -111,6 +112,22 @@ def test_merge_values_with_powers_past_the_float_range(rho):
     assert merge_value("C1", rho, (0,), (1,), inst) == pytest.approx(want, rel=1e-12)
     # an in-range value keeps the direct form's bits
     assert merge_value("C1", rho, (0,), (2,), inst) == (1.0 + 1.0) ** (1.0 / rho)
+
+
+@pytest.mark.parametrize("d, rho", [(1e160, -2.0), (1e-160, 2.0)])
+def test_merge_values_with_subnormal_powers(d, rho):
+    # d ** rho is about 1e-320, a subnormal with few significant bits: the
+    # direct forms were off by about 5.6e-6 relative
+    inst = ClusterInstance([[0.0, d, 1.0], [d, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert merge_value("C1", rho, (0,), (1,), inst) == pytest.approx(2.0 ** (1.0 / rho) * d, rel=1e-12)
+    assert merge_value("C3", rho, (0,), (1,), inst) == pytest.approx(d, rel=1e-12)
+    for family in ("C1", "C3"):
+        want = reference_merge_value(family, rho, (0,), (1,), inst)
+        assert merge_value(family, rho, (0,), (1,), inst) == want
+    # an in-range value keeps the direct form's bits
+    assert merge_value("C1", rho, (1,), (2,), inst) == (2.0**rho + 2.0**rho) ** (1.0 / rho)
+    vals = np.array([d, 2.0])
+    assert merge_value("C3", rho, (1,), (0, 2), inst) == float((vals**rho).mean() ** (1.0 / rho))
 
 
 def test_merge_value_c3_monotone_in_rho():

@@ -6,18 +6,20 @@ import pytest
 
 from algotune.bounds import finite_class_bound, spa_estimation_bound
 from algotune.greedy import KnapsackInstance, knapsack_breakpoints
+from algotune.learn import _FAMILIES as FAMILIES
 from algotune.learn import (
     ExperimentConfig,
+    _trial_rng,
     erm,
-    estimation_error,
     optimal_anonymous_revenue,
     optimal_nonanonymous_revenue,
     rows_to_csv,
     run_experiment,
     synthetic_spa_values,
 )
-from algotune.mechanisms import FiniteDistribution
-from algotune.piecewise import PiecewiseFunction1D, average
+from algotune.mechanisms import build_nam_distribution
+from algotune.piecewise import PiecewiseFunction1D
+import overfit_oracle
 
 rng = np.random.default_rng(314)
 
@@ -50,34 +52,50 @@ def test_erm_matches_grid_search_on_knapsack_duals():
 
 
 def test_estimation_error_full_support_is_zero():
-    dist = FiniteDistribution(["a", "b"], np.array([0.5, 0.5]))
-    util = lambda p, x: 1.0 if x == "a" else 0.0
-    assert estimation_error(0.0, ["a", "b"], dist, util) == pytest.approx(0.0)
-    point = FiniteDistribution(["a"], np.array([1.0]))
-    assert estimation_error(0.0, ["a", "a"], point, util) == pytest.approx(0.0)
+    # a sample holding every profile once trains on the expectation itself
+    values = [0.3, 0.9, 0.5]
+    assert overfit_oracle.spa_overfit_error(values, [2, 0, 1], 0.75) == pytest.approx(0.0, abs=1e-15)
+    a, b = np.array([[0.4, -0.1], [0.5, -0.3]]), np.array([[-0.2, 0.1], [0.0, 0.15]])
+    assert overfit_oracle.nam_overfit_error(a, b, [1, 0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_estimation_error_of_overfit_reserves_positive_gap():
-    # the overfit construction through the public path: build the two-cluster
-    # distribution, sample, fit reserves, measure the train/expectation gap
-    from algotune.mechanisms import build_spa_distribution, overfit_reserves, spa_revenue
-
+    # the overfit construction through the mechanisms: sample the two-cluster
+    # values, fit reserves, measure the train/expectation gap
     w = list(np.linspace(0.25, 0.5, 12)) + list(np.linspace(0.75, 1.0, 10))
-    dist = build_spa_distribution(w, threshold=10)
-    idx = dist.sample_indices(np.random.default_rng(0), 6)
-    sample = [dist.support[i] for i in idx]
-    reserves = overfit_reserves(sample, w)
-    util = lambda param, prof: spa_revenue(prof.to_bids(), list(param))
-    err = estimation_error(reserves, sample, dist, util)
+    idx = np.random.default_rng(0).integers(0, len(w), size=6)
+    err = overfit_oracle.spa_overfit_error(w, idx, 0.75)
     assert err > 0.01
     # agrees with the closed form the experiment family uses internally
-    seen = {p.agent for p in sample}
+    seen = set(idx.tolist())
     expected = (
         sum(w[i] for i in seen)
         + sum(0.75 for i in range(len(w)) if i not in seen and w[i] >= 0.75)
     ) / len(w)
-    avg = sum(w[p.agent] for p in sample) / len(sample)
+    avg = sum(w[i] for i in idx) / len(idx)
     assert err == pytest.approx(abs(avg - expected), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+def test_spa_overfit_trial_matches_the_brute_force_oracle(n):
+    values = [0.3, 0.9, 0.5, 0.75, 0.2, 0.8, 0.6]  # 0.75 ties the fallback
+    cfg = ExperimentConfig("spa_overfit", [n], seed=7, params={"values": values, "fallback": 0.75})
+    fam = FAMILIES["spa_overfit"](cfg)
+    for t in range(6):
+        idx = _trial_rng(7, t, n).integers(0, len(values), size=n)
+        want = overfit_oracle.spa_overfit_error(values, idx, 0.75)
+        assert fam.trial(n, t) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+def test_nam_overfit_trial_matches_the_brute_force_oracle(n):
+    pairs = [(0.4, -0.1), (0.5, -0.3), (0.35, 0.0), (-0.2, 0.1), (0.0, 0.15), (-0.1, 0.05)]
+    cfg = ExperimentConfig("nam_overfit", [n], seed=7, params={"pairs": pairs, "n_profiles": 6})
+    fam = FAMILIES["nam_overfit"](cfg)
+    a, b = build_nam_distribution(pairs, n_profiles=6, rng=np.random.default_rng([7, 101]))
+    for t in range(6):
+        idx = _trial_rng(7, t, n).integers(0, 6, size=n)
+        assert fam.trial(n, t) == pytest.approx(overfit_oracle.nam_overfit_error(a, b, idx), abs=1e-12)
 
 
 def test_synthetic_values_band_counts():

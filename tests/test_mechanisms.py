@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 
 from algotune.bounds import verify_shattering
+from algotune.learn import ExperimentConfig, spa_expected_revenue_anonymous
+from algotune.learn import _FAMILIES as FAMILIES
 from algotune.mechanisms import (
-    FiniteDistribution,
     NamParams,
-    SingleBidProfile,
     ValuationProfile,
     anonymous_reserve_dual,
     build_nam_distribution,
-    build_spa_distribution,
-    expected_utility,
-    ingest_jester,
     nam_agent_utility,
     nam_outcome,
-    nam_overfit_params,
     nam_payments,
     nam_shatter_instances,
     nam_welfare,
-    overfit_reserves,
     spa_revenue,
 )
 from algotune.piecewise import count_oscillations
+from overfit_oracle import nam_overfit_params, nam_profiles, overfit_reserves, spa_profiles
 
 rng = np.random.default_rng(99)
 
@@ -171,11 +167,10 @@ def test_anonymous_dual_oscillation_cap():
 
 
 def test_overfit_reserves_rules():
+    # the oracle's construction: seen agents pay their own value, the rest face the fallback
     values = [0.3, 0.9, 0.4]
-    sample = [SingleBidProfile(1, 0.9, 3)]
-    got = overfit_reserves(sample, values)
-    assert got.tolist() == [0.75, 0.9, 0.75]
-    assert overfit_reserves([], values).tolist() == [0.75] * 3
+    assert overfit_reserves(values, {1}, 0.75) == [0.75, 0.9, 0.75]
+    assert overfit_reserves(values, set(), 0.75) == [0.75] * 3
 
 
 def test_nam_overfit_params_rules():
@@ -187,87 +182,40 @@ def test_nam_overfit_params_rules():
     assert p.weights == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def test_ingest_jester_normalizations():
-    csv = "2,10,99\n2,-10,5\n"
-    unit = ingest_jester(csv, "to_unit", has_count_column=True)
-    cols = unit.per_joke()
-    assert cols[0] == [pytest.approx(1.0), pytest.approx(0.0)]
-    assert cols[1] == [pytest.approx(0.75)]
-    centered = ingest_jester(csv, "to_centered", has_count_column=True)
-    assert centered.per_joke()[0] == [pytest.approx(0.5), pytest.approx(-0.5)]
-
-
-def test_ingest_jester_rejects_out_of_range():
-    with pytest.raises(ValueError, match="row 2, column 1"):
-        ingest_jester("5,3\n12,0\n", "to_unit", has_count_column=False)
-
-
-def test_ingest_jester_count_column_autodetect():
-    table = ingest_jester("37,10,-10\n99,0,5\n", "to_unit")
-    assert table.matrix.shape == (2, 2)
-
-
-def test_ingest_jester_reads_text_not_paths():
-    # a file name is CSV text with one non-numeric row: a header and no data
-    with pytest.raises(ValueError, match="no data rows"):
-        ingest_jester("ratings.csv", "to_unit")
-
-
-def test_ingest_jester_header_without_data():
-    with pytest.raises(ValueError, match="no data rows"):
-        ingest_jester("count,joke1,joke2\n", "to_unit")
-
-
-def test_joke_pair_alignment():
-    table = ingest_jester("10,99\n-10,5\n0,0\n", "to_centered", has_count_column=False)
-    pairs = table.joke_pair(0, 1)
-    assert pairs == [(-0.5, 0.25), (0.0, 0.0)]
-
-
-def test_build_spa_distribution():
-    w = [0.3] * 6 + [0.9] * 5
-    dist = build_spa_distribution(w, threshold=5)
-    assert len(dist.support) == 11
-    assert dist.probabilities.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="qualify"):
-        build_spa_distribution(w, threshold=6)
-
-
 def test_spa_distribution_expected_revenue_identity():
-    w = [0.3, 0.9]
-    dist = build_spa_distribution(w, threshold=1)
-    for reserve in (0.2, 0.5, 0.95):
-        got = expected_utility(dist, lambda prof: spa_revenue(prof.to_bids(), reserve))
-        want = sum(reserve * (wi >= reserve) for wi in w) / len(w)
-        assert got == pytest.approx(want)
+    # the exact expectation of spa_erm is the mean of spa_revenue over one-hot profiles
+    w = np.array([0.3, 0.9, 0.5, 0.75, 0.6])
+    for reserve in (0.0, 0.2, 0.5, 0.6, 0.75, 0.95):
+        want = math.fsum(spa_revenue(bids, reserve) for bids in spa_profiles(w)) / len(w)
+        assert spa_expected_revenue_anonymous(w, reserve) == pytest.approx(want, abs=1e-12)
 
 
 def test_build_nam_distribution():
-    pairs = [(0.4, -0.1)] * 3 + [(-0.2, 0.1)] * 4
-    dist = build_nam_distribution(pairs, n_profiles=5, rng=np.random.default_rng(1))
-    assert len(dist.support) == 5
-    for prof in dist.support:
-        dense = prof.to_profile()
-        nonzero = np.flatnonzero(np.abs(dense.matrix).sum(axis=1))
-        assert len(nonzero) == 2
-        assert list(nonzero) == [prof.index, 5 + prof.index]
+    g1 = [(0.4, -0.1), (0.5, -0.3), (0.35, 0.0)]
+    g2 = [(-0.2, 0.1), (0.0, 0.15)]
+    pairs = g1[:2] + g2 + [g1[2], (0.1, 0.1), (0.0, 0.0)]  # the last two are in neither group
+    a, b = build_nam_distribution(pairs, n_profiles=7, rng=np.random.default_rng(1))
+    assert a.shape == b.shape == (7, 2)
+    # one draw from group 1, then one from group 2, per profile
+    ref = np.random.default_rng(1)
+    for i in range(7):
+        assert tuple(a[i]) == g1[ref.integers(len(g1))]
+        assert tuple(b[i]) == g2[ref.integers(len(g2))]
     with pytest.raises(ValueError, match="empty"):
         build_nam_distribution([(0.4, -0.1)], n_profiles=2)
 
 
+def test_empty_distributions_rejected():
+    with pytest.raises(ValueError, match="n_profiles must be >= 1"):
+        build_nam_distribution([(0.4, -0.1), (-0.2, 0.1)], n_profiles=0)
+
+
 def test_two_bidder_welfare_matches_dense():
-    pairs = [(0.4, -0.1)] * 2 + [(-0.2, 0.1)] * 2
-    dist = build_nam_distribution(pairs, n_profiles=3, rng=np.random.default_rng(2))
-    for prof in dist.support:
-        dense = prof.to_profile()
-        p_seen = nam_overfit_params({prof.index}, 3)
-        assert prof.welfare(prof.a) == pytest.approx(nam_welfare(dense, p_seen))
-        p_unseen = nam_overfit_params(set(range(3)) - {prof.index}, 3)
-        assert prof.welfare(prof.b) == pytest.approx(nam_welfare(dense, p_unseen))
-
-
-def test_expected_utility_point_mass_and_linearity():
-    d1 = FiniteDistribution([1.0], np.array([1.0]))
-    assert expected_utility(d1, lambda x: 3 * x) == 3.0
-    d2 = FiniteDistribution(["a", "b"], np.array([0.5, 0.5]))
-    assert expected_utility(d2, lambda x: 1.0 if x == "b" else 0.0) == 0.5
+    # the nam_overfit family's welfare arrays against nam_welfare on dense profiles
+    pairs = [(0.4, -0.1), (0.5, -0.3), (-0.2, 0.1), (-0.1, 0.05)]
+    cfg = ExperimentConfig("nam_overfit", [1], seed=2, params={"pairs": pairs, "n_profiles": 4})
+    fam = FAMILIES["nam_overfit"](cfg)
+    a, b = build_nam_distribution(pairs, n_profiles=4, rng=np.random.default_rng([2, 101]))
+    for i, dense in enumerate(nam_profiles(a, b)):
+        assert fam.w_seen[i] == nam_welfare(dense, nam_overfit_params({i}, 4))
+        assert fam.w_unseen[i] == nam_welfare(dense, nam_overfit_params(set(range(4)) - {i}, 4))
