@@ -8,20 +8,18 @@ computes every expectation exactly, so the curves are noise-free up to the
 sampling of training sets.
 """
 
+import numpy as np
+
 from algotune.bounds import spa_estimation_bound
-from algotune.learn import (
-    ExperimentConfig,
-    optimal_anonymous_revenue,
-    optimal_nonanonymous_revenue,
-    rows_to_csv,
-    run_experiment,
-    synthetic_spa_values,
-)
+from algotune.learn import ExperimentConfig, erm, rows_to_csv, run_experiment, synthetic_spa_values
+from algotune.mechanisms import anonymous_reserve_duals
 
 w = synthetic_spa_values()
-reserve, anon = optimal_anonymous_revenue(w)
+# ERM over the revenue duals of the whole support: each value bids against one bid of 0
+reserve, anon = erm(anonymous_reserve_duals(w, np.zeros_like(w)))
 print(f"optimal anonymous reserve {reserve:.3f} -> expected revenue {anon:.4f}")
-print(f"optimal per-agent reserves -> expected revenue {optimal_nonanonymous_revenue(w):.4f}")
+# per-agent reserves at each agent's own value collect every value
+print(f"optimal per-agent reserves -> expected revenue {w.mean():.4f}")
 
 cfg = ExperimentConfig(
     family="spa_overfit",

@@ -41,36 +41,39 @@ class DecompositionSpec:
             raise ValueError("k must be >= 1")
 
 
+def _last_satisfied(ok: Callable[[int], bool]) -> int:
+    """Largest N >= 1 with ``ok(N)``, or 0, for an ``ok`` that holds on an interval from N = 1.
+
+    Doubles N until ``ok`` fails, then bisects the last doubling: about 2 log2(N) calls.
+    """
+    if not ok(1):
+        return 0
+    lo, hi = 1, 2
+    while ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
 def pdim_from_counting(spec: DecompositionSpec) -> int:
     """Largest N with 2^N <= (e*k*N)^vc * (e*N)^pdim.
 
-    Solved in log space by incrementing N; the satisfied region is an
-    interval containing N=1, so the first failure is the crossover.
+    Solved in log space by ``_last_satisfied``: the log of the right side
+    minus N ln 2 is concave, so the satisfied region is an interval from N=1
+    (empty when vc = pdim = 0).
     """
     vc, pd, k = spec.vc_g_star, spec.pdim_f_star, spec.k
-    if vc == 0 and pd == 0:
-        return 0
-    n = 0
-    cand = 1
-    while True:
-        rhs = vc * (1.0 + math.log(k) + math.log(cand)) + pd * (1.0 + math.log(cand))
-        if cand * LN2 <= rhs:
-            n = cand
-            cand += 1
-        else:
-            return n
+    return _last_satisfied(
+        lambda n: n * LN2 <= vc * (1.0 + math.log(k) + math.log(n)) + pd * (1.0 + math.log(n)))
 
 
 def pdim_from_oscillations(B: int) -> int:
     """Largest N with 2^N <= B*N + 1, for piece functions with <= B oscillations."""
     if B < 1:
         raise ValueError("B must be >= 1")
-    n = 0
-    cand = 1
-    while 2**cand <= B * cand + 1:
-        n = cand
-        cand += 1
-    return n
+    return _last_satisfied(lambda n: 2**n <= B * n + 1)  # convex in N, so an interval
 
 
 def log_inequality_bound(a: float, b: float) -> float:
@@ -80,6 +83,12 @@ def log_inequality_bound(a: float, b: float) -> float:
     if a < 1 or b <= 0:
         raise ValueError("need a >= 1 and b > 0")
     return 4.0 * a * math.log(2.0 * a) + 2.0 * b
+
+
+def _log_ratio(num: float, delta: float) -> float:
+    """ln(num / delta); ln(num) - ln(delta) only where the quotient overflows (subnormal delta)."""
+    q = num / delta
+    return math.log(q) if q != math.inf else math.log(num) - math.log(delta)
 
 
 def generalization_bound(
@@ -92,7 +101,7 @@ def generalization_bound(
     """
     if N < 1 or H <= 0 or not 0 < delta < 1:
         raise ValueError("need N >= 1, H > 0, 0 < delta < 1")
-    return constant * H * math.sqrt((pdim + math.log(1.0 / delta)) / N)
+    return constant * H * math.sqrt((pdim + _log_ratio(1.0, delta)) / N)
 
 
 def spa_estimation_bound(N: int, delta: float) -> float:
@@ -100,7 +109,7 @@ def spa_estimation_bound(N: int, delta: float) -> float:
     if N < 1 or not 0 < delta < 1:
         raise ValueError("need N >= 1 and 0 < delta < 1")
     return math.sqrt(4.0 / N * math.log(math.e * N)) + math.sqrt(
-        math.log(1.0 / delta) / (2.0 * N)
+        _log_ratio(1.0, delta) / (2.0 * N)
     )
 
 
@@ -108,7 +117,7 @@ def finite_class_bound(n_mechanisms: int, N: int, delta: float) -> float:
     """Hoeffding + union bound sqrt(ln(2n/delta) / (2N)) over n mechanisms."""
     if n_mechanisms < 1 or N < 1 or not 0 < delta < 1:
         raise ValueError("need n >= 1, N >= 1, 0 < delta < 1")
-    return math.sqrt(math.log(2.0 * n_mechanisms / delta) / (2.0 * N))
+    return math.sqrt(_log_ratio(2.0 * n_mechanisms, delta) / (2.0 * N))
 
 
 def _scaled_sum(terms, x):
@@ -203,7 +212,6 @@ class ShatteringCertificate:
 
     n_instances: int
     witnesses: list[float]
-    candidate_params: list
     achieved_patterns: set[tuple[int, ...]] = field(default_factory=set)
 
     @property
@@ -248,7 +256,7 @@ def verify_shattering(
     if not candidate_params:
         raise ValueError("need at least one candidate parameter point")
 
-    cert = ShatteringCertificate(N, [float(z) for z in witnesses], list(candidate_params))
+    cert = ShatteringCertificate(N, [float(z) for z in witnesses])
     for p in candidate_params:
         cert.achieved_patterns.add(
             tuple(1 if fn(p) >= z else 0 for fn, z in zip(dual_fns, witnesses))

@@ -117,31 +117,10 @@ def spa_expected_revenue_anonymous(values: np.ndarray, reserve: float) -> float:
     return float(reserve * (values >= reserve).sum() / len(values))
 
 
-def optimal_anonymous_revenue(values: np.ndarray) -> tuple[float, float]:
-    """Best anonymous reserve and its exact expected revenue (support enumeration).
-
-    The revenue curve rises linearly between support values, so the optimum
-    is attained at one of them (reserve 0 covered by the smallest value).
-    """
-    vals = np.sort(values)
-    n = len(vals)
-    # single bidder per profile, so revenue at reserve r is r * P(value >= r)
-    best_r, best_rev = 0.0, 0.0
-    for i, r in enumerate(vals):
-        rev = r * (n - i) / n
-        if rev > best_rev:
-            best_r, best_rev = float(r), float(rev)
-    return best_r, best_rev
-
-
-def optimal_nonanonymous_revenue(values: np.ndarray) -> float:
-    """Exact expected revenue of per-agent reserves set to each agent's value."""
-    return float(values.mean())
-
-
 def _number_pairs(value) -> list[tuple]:
     pairs = [tuple(pr) for pr in value]
-    if any(len(pr) != 2 or not all(isinstance(x, numbers.Real) for x in pr) for pr in pairs):
+    if any(len(pr) != 2 or not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in pr)
+           for pr in pairs):
         raise ValueError
     return pairs
 
@@ -235,7 +214,7 @@ class _NamOverfitFamily:
                 _parse(int, p.get("n_group2", 1677), "params.n_group2", "an integer"),
             )
         a, b = build_nam_distribution(
-            _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] number pairs"),
+            _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] finite number pairs"),
             n_profiles=self.n_profiles,
             rng=np.random.default_rng([cfg.seed, 101]),
         )

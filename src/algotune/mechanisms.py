@@ -44,10 +44,6 @@ class ValuationProfile:
     def n_agents(self):
         return self.matrix.shape[0]
 
-    @property
-    def n_alternatives(self):
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class NamParams:

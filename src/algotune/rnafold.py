@@ -165,21 +165,6 @@ class StackScores:
         return cls(tbl)
 
 
-def stacking_score(s: RnaSequence, phi: Folding, m: StackScores) -> float:
-    """Total stacking credit of a folding: pair (i,j) scores when (i-1,j+1) is present."""
-    present = set(phi.pairs)
-    total = 0.0
-    n = len(s)
-    for i, j in phi.pairs:
-        if i >= 2 and j <= n - 1 and (i - 1, j + 1) in present:
-            total += m.get(s[i - 1], s[j - 1], s[i - 2], s[j])
-    return total
-
-
-def fold_objective(s: RnaSequence, phi: Folding, rho: float, m: StackScores) -> float:
-    return rho * len(phi) + (1.0 - rho) * stacking_score(s, phi, m)
-
-
 class _Tables:
     """The span-vectorized folding DP at R values of rho at once.
 

@@ -31,7 +31,6 @@ utilities realize every sign pattern, the worst case for this family.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence as Seq
@@ -583,24 +582,22 @@ def _align_at_indel_penalties(s1: Sequence, s2: Sequence, rhos: Seq[float]):
     return align_batch([(s1, s2)] * len(rhos), [AffineParams(0.0, rho, 0.0) for rho in rhos])
 
 
-def _traceback_tag(aln: Alignment) -> int:
-    return zlib.crc32("\n".join("".join(r) for r in aln.rows).encode())
-
-
 def indel_breakpoints(s1: Sequence, s2: Sequence, rho_max: float) -> PiecewiseFunction1D:
     """Exact optimal-objective envelope over the indel penalty in [0, rho_max].
 
     Each alignment contributes the line ``matches - rho * indels``; the
     optimum is their upper envelope, found by ``sweep_linear``.  Each sweep
     round is one ``align_batch`` call that aligns the pair once per probe
-    point.  Breakpoints are exact ratios of integer feature counts.
+    point.  Each piece is tagged with its indel count, which names its line
+    (as ``rnafold.rho_breakpoints`` tags pieces with their pair count).
+    Breakpoints are exact ratios of integer feature counts.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
 
     def solve(rhos):
         alns = _align_at_indel_penalties(s1, s2, rhos)
-        return [(-float(f.indels), float(f.matches), _traceback_tag(aln)) for aln, f, _ in alns]
+        return [(-float(f.indels), float(f.matches), f.indels) for _, f, _ in alns]
 
     return sweep_linear(solve, 0.0, rho_max)
 

@@ -1,13 +1,18 @@
-"""Frozen dict-based folding DP: the test oracle for ``rnafold.fold`` and ``rho_breakpoints``.
+"""Frozen folding references: the test oracles of ``rnafold``.
 
-``fold`` carries a sorted pair tuple through every cell and picks by
-(value, fewest pairs, smallest tuple); ``rho_breakpoints`` builds its envelope
-from the size-indexed ``max_stack_by_size`` and ``upper_envelope``.  They are
-kept verbatim so the tests can require the span-vectorized kernel to return
-the same ``Folding``, bit-identical objectives and equal envelopes.  The
-envelope runs on the frozen depth-first sweep of ``sweep_reference``, so no
-live search kernel takes part.  This is a reference only; nothing under
-``src/`` imports it.
+``fold`` is the frozen dict-based folding DP.  It carries a sorted pair tuple
+through every cell and picks by (value, fewest pairs, smallest tuple);
+``rho_breakpoints`` builds its envelope from the size-indexed
+``max_stack_by_size`` and ``upper_envelope``.  They are kept verbatim so the
+tests can require the span-vectorized kernel to return the same ``Folding``,
+bit-identical objectives and equal envelopes.  The envelope runs on the
+frozen depth-first sweep of ``sweep_reference``, so no live search kernel
+takes part.
+
+``stacking_score`` and ``fold_objective`` score one given folding straight
+from its pair list; the brute-force checks rank enumerated foldings by them.
+
+This is a reference only; nothing under ``src/`` imports it.
 """
 
 import math
@@ -16,6 +21,21 @@ from typing import Sequence
 from algotune.piecewise import Line1D, PiecewiseFunction1D
 from algotune.rnafold import MIN_SEP, Folding, RnaSequence, StackScores
 from sweep_reference import sweep_linear
+
+
+def stacking_score(s: RnaSequence, phi: Folding, m: StackScores) -> float:
+    """Total stacking credit of a folding: pair (i,j) scores when (i-1,j+1) is present."""
+    present = set(phi.pairs)
+    total = 0.0
+    n = len(s)
+    for i, j in phi.pairs:
+        if i >= 2 and j <= n - 1 and (i - 1, j + 1) in present:
+            total += m.get(s[i - 1], s[j - 1], s[i - 2], s[j])
+    return total
+
+
+def fold_objective(s: RnaSequence, phi: Folding, rho: float, m: StackScores) -> float:
+    return rho * len(phi) + (1.0 - rho) * stacking_score(s, phi, m)
 
 
 def fold(s: RnaSequence, rho: float, m: StackScores) -> tuple[Folding, float]:

@@ -14,6 +14,7 @@ from algotune.bounds import (
     spa_estimation_bound,
     verify_shattering,
 )
+import pdim_reference
 
 
 def brute_counting(vc, pd, k, n_max=200):
@@ -57,6 +58,31 @@ def test_pdim_oscillations_matches_direct_enumeration():
     for B in (1, 2, 3, 7, 100, 1000, 10**6):
         best = max(n for n in range(1, 64) if 2**n <= B * n + 1)
         assert pdim_from_oscillations(B) == best
+
+
+def test_pdim_counting_equals_the_scan():
+    for vc in range(40):
+        for pd in range(12):
+            for k in (1, 2, 3, 7, 100):
+                assert pdim_from_counting(DecompositionSpec(vc, pd, k)) == \
+                    pdim_reference.pdim_from_counting(vc, pd, k), (vc, pd, k)
+
+
+def test_pdim_oscillations_equals_the_scan():
+    for B in range(1, 5000):
+        assert pdim_from_oscillations(B) == pdim_reference.pdim_from_oscillations(B), B
+
+
+def test_bounds_at_a_subnormal_delta():
+    # 1/delta overflows to inf at this delta; the bounds take -ln(delta) instead
+    delta = 1e-320
+    neg_log = -math.log(delta)
+    assert generalization_bound(2.0, 3, 10, delta) == pytest.approx(
+        2.0 * math.sqrt((3 + neg_log) / 10), rel=1e-15)
+    assert spa_estimation_bound(10, delta) == pytest.approx(
+        math.sqrt(0.4 * math.log(math.e * 10)) + math.sqrt(neg_log / 20), rel=1e-15)
+    assert finite_class_bound(3, 10, delta) == pytest.approx(
+        math.sqrt((math.log(6.0) + neg_log) / 20), rel=1e-15)
 
 
 def test_log_inequality_examples():

@@ -36,6 +36,24 @@ def test_bounds_pdim_and_spa(capsys):
     assert float(out) == pytest.approx(3.5174, abs=1e-3)
 
 
+def test_bounds_pdim_search_is_logarithmic_in_the_answer(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bounds", "pdim", "--vc", "1000000000", "--pdim", "3")
+    assert time.perf_counter() - start < 1.0  # a one-step scan would take hours
+    assert code == 0 and out == "36531101348\n"
+    code, out, _ = run_cli(capsys, "bounds", "pdim", "--vc", "1000000", "--pdim", "3")
+    assert code == 0 and out == "26079167\n"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("spa", "--N", "10"), "7.21907101\n"),
+    (("finite", "--n", "3", "--N", "10"), "6.07708401\n"),
+])
+def test_bounds_at_a_subnormal_delta_are_finite(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "bounds", *argv, "--delta", "1e-320")
+    assert code == 0 and out == want
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert dispatch(["frobnicate"]) == 2
 
@@ -573,6 +591,8 @@ def test_console_entry_point_runs():
         ([{"family": "spa_erm", "n_schedule": [10]}], "config"),
         ({"family": "spa_erm", "n_schedule": [10], "trials": None}, "trials"),
         ({"family": "nam_overfit", "n_schedule": [10], "params": {"pairs": 3}}, "params.pairs"),
+        ({"family": "nam_overfit", "n_schedule": [5], "trials": 2,
+          "params": {"n_profiles": 3, "pairs": [[math.inf, -1], [-0.1, 0.1]]}}, "params.pairs"),
     ],
 )
 def test_learn_run_rejects_malformed_json_shapes(tmp_path, capsys, config, field):

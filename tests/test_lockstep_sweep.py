@@ -88,8 +88,8 @@ def random_pair(rng, lo, hi):
 
 def indel_solver(s1, s2):
     def solve(rho):
-        aln, f, _ = affine_align(s1, s2, AffineParams(0.0, rho, 0.0))
-        return -float(f.indels), float(f.matches), seqalign._traceback_tag(aln)
+        _, f, _ = affine_align(s1, s2, AffineParams(0.0, rho, 0.0))
+        return -float(f.indels), float(f.matches), f.indels
 
     return solve
 
@@ -207,7 +207,6 @@ def test_align_batch_rows_equal_single_runs_under_their_own_params():
             want_aln, want_feats, want_obj = affine_align(s1, s2, p)
             assert aln.rows == want_aln.rows and feats == want_feats, (s1, s2, p)
             assert obj.hex() == want_obj.hex(), (s1, s2, p)
-            assert seqalign._traceback_tag(aln) == seqalign._traceback_tag(want_aln)
 
 
 def test_align_batch_needs_one_params_per_pair():

@@ -9,13 +9,12 @@ from algotune.rnafold import (
     RnaSequence,
     StackScores,
     fold,
-    fold_objective,
     max_stack_by_size,
     pair_utility,
     rho_breakpoints,
-    stacking_score,
     utility_breakpoints,
 )
+from fold_reference import fold_objective, stacking_score
 
 rng = np.random.default_rng(123)
 

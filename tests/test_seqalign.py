@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import re
 
@@ -27,6 +28,7 @@ from algotune.seqalign import (
     utility_breakpoints,
 )
 from alignment_oracle import enumerate_alignments
+from test_cli_golden import run_case, write_inputs
 
 rng = np.random.default_rng(42)
 
@@ -198,6 +200,25 @@ def test_indel_breakpoints_match_bruteforce_envelope():
         for rho in rng.uniform(0, 1.5, size=40):
             rho = float(rho)
             assert fn.value(rho) == pytest.approx(env.value(rho), abs=1e-9)
+
+
+def test_envelope_pieces_are_tagged_by_their_indel_count(tmp_path):
+    # a piece's line is -indels * rho + matches, so the tag names it and no
+    # two pieces share one: at most one piece per achievable indel count
+    envelopes = [
+        [(p["slope"], p["tag"]) for p in json.loads(run_case(argv, tmp_path / "out.json"))["pieces"]]
+        for name, argv in write_inputs(tmp_path).items()
+        if name.startswith("align_decompose_") and name.endswith("_json")
+    ]
+    gen = np.random.default_rng(43)  # its own stream: the module's draws stay as they were
+    for k in range(80):
+        alphabet = list(("AC", "ACG", "ACGT")[k % 3])
+        s1, s2 = (Sequence(gen.choice(alphabet, size=int(gen.integers(1, 40)))) for _ in range(2))
+        envelopes.append([(s, t) for s, _, t in indel_breakpoints(s1, s2, float(gen.uniform(0.5, 6.0))).pieces])
+    for pieces in envelopes:
+        tags = [t for _, t in pieces]
+        assert tags == [-s for s, _ in pieces] and len(set(tags)) == len(tags), pieces
+    assert sum(len(pieces) >= 3 for pieces in envelopes) >= 10
 
 
 def test_indel_breakpoints_sampled_against_aligner():
