@@ -90,13 +90,15 @@ def erm(duals: Sequence[PiecewiseFunction1D] | PiecewiseBatch):
 
     ``duals`` is a sequence of functions or one ``PiecewiseBatch``.  The
     average stays in arrays (``PiecewiseBatch.mean``); no function object is
-    built for it.
+    built for it.  Near-ties of the average are scored again on the duals
+    themselves (``PiecewiseBatch.argmax``), so an exact tie goes to the
+    leftmost maximizer even where the running sums round it apart.
     """
     if not isinstance(duals, PiecewiseBatch):
         if not duals:
             raise ValueError("need at least one dual")
         duals = PiecewiseBatch.of(duals)
-    res = duals.mean().argmax()
+    res = duals.mean().argmax(duals)
     return res.param, res.value
 
 

@@ -16,13 +16,22 @@ call, O(pieces) points in all, so a dynamic program that solves many
 parameters in one batched run pays its fixed per-run cost once per round.
 ``refine_constant`` likewise asks for all piece midpoints at once.
 
+A ``PiecewiseFunction1D`` is stored as arrays: piece starts, slopes and
+intercepts, plus its tags as one tuple (``None`` when no piece is tagged).
+``breakpoints`` and ``pieces`` are read-only list views of them.  One array
+kernel, ``_canonical``, puts functions in canonical form: the constructor
+runs it on one function and ``PiecewiseBatch.canonical`` on many at once; it
+gathers only when it drops a piece.  The search kernels, ``tad`` and the JSON
+reader hand their columns straight to ``PiecewiseFunction1D.from_arrays``,
+and ``json_chunks`` writes a function a few thousand pieces at a time, so no
+layer keeps a Python object per piece.
+
 ERM runs on arrays: ``PiecewiseBatch`` holds many functions on one domain as
 a struct of arrays, and its ``mean`` and ``argmax`` are one numpy kernel (a
 stable sort of all breakpoints, a sequential running sum of coefficient
-changes, the constructor's canonical rules applied on arrays).  ``average``
-and ``argmax`` are front ends to it.  The ``PiecewiseFunction1D``
-constructor stays in Python, which is faster for the few-piece functions most
-callers build.
+changes, the canonical kernel, and an exact ``math.fsum`` re-scoring of
+near-tied candidates on the member functions).  ``average`` and ``argmax``
+are front ends to it.
 
 Values are IEEE doubles.  Breakpoints closer than ``EPS_CMP`` are coalesced,
 and all value-level guarantees downstream are stated with tolerances, so no
@@ -33,11 +42,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +54,9 @@ EPS_CMP = 1e-9
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+#: Pieces per string of ``PiecewiseFunction1D.json_chunks``.
+_JSON_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,73 +75,201 @@ class Line1D:
         return self.slope * x + self.intercept
 
 
-class PiecewiseFunction1D:
-    """Canonical piecewise-linear function on ``[lo, hi]``.
+class _ListView(Sequence):
+    """Read-only list view of a function's arrays; equal to the list it shows."""
 
-    ``pieces[i]`` is a ``(slope, intercept, tag)`` triple governing
-    ``[breakpoints[i-1], breakpoints[i])`` (with ``lo``/``hi`` as outer
-    bounds); ``tag`` may be ``None``.  The constructor canonicalizes:
-    breakpoints closer than ``EPS_CMP`` are coalesced (the sliver piece is
-    dropped) and adjacent identical pieces are merged.
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _ListView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+class _Breakpoints(_ListView):
+    __slots__ = ()
+
+    def __len__(self):
+        return len(self._fn._starts) - 1
+
+    def __getitem__(self, i):
+        return self._fn._starts[1:][i].tolist()
+
+    def __iter__(self):
+        return iter(self._fn._starts[1:].tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._fn._starts[1:], dtype=dtype)
+
+
+class _Pieces(_ListView):
+    __slots__ = ()
+
+    def __len__(self):
+        return len(self._fn._slopes)
+
+    def __getitem__(self, i):
+        fn = self._fn
+        if isinstance(i, slice):
+            return list(zip(fn._slopes[i].tolist(), fn._icepts[i].tolist(), fn._tag_run(i)))
+        return fn._slopes[i].item(), fn._icepts[i].item(), None if fn._tags is None else fn._tags[i]
+
+    def __iter__(self):
+        fn = self._fn
+        return zip(fn._slopes.tolist(), fn._icepts.tolist(), fn._tag_run(slice(None)))
+
+
+def _canonical(lo, hi, starts, ends, slopes, icepts, tags=None):
+    """Canonical form of functions on ``[lo, hi]`` listed function by function.
+
+    Piece ``i`` spans ``[starts[i], ends[i])``: it starts at ``lo`` if it is
+    the first piece of a function and at one of its breakpoints otherwise,
+    and it ends where the next piece starts, or at ``hi`` for a function's
+    last piece.  The rules: a breakpoint within ``EPS_CMP`` of ``hi`` goes
+    with its piece; a breakpoint within ``EPS_CMP`` of the last kept one goes
+    too, and its right piece replaces the kept one's; equal neighbouring
+    pieces (slope, intercept and tag) merge.  Returns ``(starts, slopes,
+    icepts, tags)``, the very arrays given when nothing goes.  ``tags`` is a
+    tuple, or ``None`` for untagged pieces.  ``ValueError`` if a piece is
+    empty or reversed: the breakpoints do not increase strictly.
+    """
+    width = ends - starts
+    # no piece narrower than EPS_CMP: no breakpoint goes (a piece spanning
+    # [lo, hi] alone may be, and then nothing goes either)
+    if not width[width.argmin()] >= EPS_CMP:
+        if not np.all(width > 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        head = starts == lo  # the first piece of a function
+        keep = head | ~(hi - starts < EPS_CMP)
+        sel = np.flatnonzero(keep)
+        at, head = starts[sel], head[sel]
+        # a raw gap of at least EPS_CMP keeps its breakpoint, since the last kept
+        # one lies at or left of its neighbour; only the narrower gaps need a walk
+        keep = head.copy()
+        inner = np.flatnonzero(~head)
+        keep[inner] = ~(at[inner] - at[inner - 1] < EPS_CMP)
+        anchor = 0
+        for i in np.flatnonzero(~keep).tolist():
+            if keep[i - 1]:
+                anchor = i - 1
+            keep[i] = not at[i] - at[anchor] < EPS_CMP
+        kept = np.flatnonzero(keep)
+        last = sel[np.append(kept[1:], len(keep)) - 1]  # a kept start takes its run's last piece
+        starts, slopes, icepts = at[kept], slopes[last], icepts[last]
+        if tags is not None:
+            tags = tuple(map(tags.__getitem__, last.tolist()))
+
+    same = slopes[1:] == slopes[:-1]
+    same &= icepts[1:] == icepts[:-1]
+    if np.count_nonzero(same):
+        same[starts[1:] == lo] = False  # a function's first piece has no left neighbour
+        if tags is not None:
+            for i in np.flatnonzero(same).tolist():
+                same[i] = tags[i] == tags[i + 1]
+        keep = np.concatenate(([True], ~same))
+        starts, slopes, icepts = starts[keep], slopes[keep], icepts[keep]
+        if tags is not None:
+            tags = tuple(compress(tags, keep.tolist()))
+    return starts, slopes, icepts, tags
+
+
+class PiecewiseFunction1D:
+    """Canonical piecewise-linear function on ``[lo, hi]``, stored as arrays.
+
+    Piece ``i`` is ``slope * x + intercept`` on ``[breakpoints[i-1],
+    breakpoints[i])`` (with ``lo``/``hi`` as outer bounds) and carries a
+    caller-owned tag, which may be ``None``.  The function keeps three float
+    arrays, the piece starts (``lo``, then the breakpoints), the slopes and the
+    intercepts, and its tags as one tuple, or ``None`` when no piece is tagged.
+    ``breakpoints`` and ``pieces`` are read-only list views of them:
+    ``pieces[i]`` is the ``(slope, intercept, tag)`` triple of piece ``i``.
+
+    The constructor takes breakpoints and such triples; ``from_arrays`` takes
+    the columns.  Both canonicalize with the kernel ``PiecewiseBatch.canonical``
+    also runs: breakpoints closer than ``EPS_CMP`` are coalesced (the sliver
+    piece is dropped) and adjacent identical pieces are merged.
     """
 
-    __slots__ = ("lo", "hi", "breakpoints", "pieces")
+    __slots__ = ("lo", "hi", "_starts", "_slopes", "_icepts", "_tags")
 
     def __init__(self, lo, hi, breakpoints, pieces):
+        slopes, icepts, tags = tuple(zip(*pieces)) or ((), (), ())
+        self._set(lo, hi, breakpoints, slopes, icepts, tags)
+
+    @classmethod
+    def from_arrays(cls, lo, hi, breakpoints, slopes, intercepts, tags=None) -> "PiecewiseFunction1D":
+        """The function with these columns: ``len(breakpoints) + 1`` slopes,
+        intercepts and (unless ``tags`` is ``None``) tags, as sequences or
+        arrays.  Arrays are copied, so the caller may reuse them."""
+        fn = cls.__new__(cls)
+        fn._set(lo, hi, breakpoints, slopes, intercepts, tags)
+        return fn
+
+    def _set(self, lo, hi, breakpoints, slopes, icepts, tags):
         lo = float(lo)
         hi = float(hi)
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise ValueError("domain must satisfy lo < hi")
-        breakpoints = [float(b) for b in breakpoints]
-        pieces = [(float(s), float(c), t) for (s, c, t) in pieces]
-        if len(pieces) != len(breakpoints) + 1:
+        n = len(breakpoints) + 1
+        if tags is not None:
+            tags = tuple(tags)
+        if len(slopes) != n or len(icepts) != n or (tags is not None and len(tags) != n):
             raise ValueError("need exactly len(breakpoints) + 1 pieces")
-        if any(not b1 < b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if breakpoints and not (lo < breakpoints[0] and breakpoints[-1] < hi):
+        if tags is not None and tags.count(None) == n:
+            tags = None
+        edges = np.empty(n + 1)  # piece i spans [edges[i], edges[i + 1])
+        edges[0] = lo
+        edges[1:n] = breakpoints
+        edges[n] = hi
+        # the ends first: with them inside (lo, hi), no width is inf - inf
+        if not (edges[1] > lo and edges[n - 1] < hi):
+            if not np.all(edges[2:n] > edges[1:n - 1]):
+                raise ValueError("breakpoints must be strictly increasing")
             raise ValueError("breakpoints must lie strictly inside (lo, hi)")
-
-        # Coalesce near-duplicate breakpoints: drop the sliver piece between
-        # two cuts less than EPS_CMP apart (and slivers against lo/hi).
-        bps, pcs = [], [pieces[0]]
-        prev = lo
-        for b, piece in zip(breakpoints, pieces[1:]):
-            if (hi - b) < EPS_CMP:
-                continue  # sliver against hi: the left piece keeps the end
-            if (b - prev) < EPS_CMP:
-                pcs[-1] = piece  # right side wins, matching [t, t') convention
-                continue
-            bps.append(b)
-            pcs.append(piece)
-            prev = b
-
-        # Merge adjacent identical pieces.
-        merged_b, merged_p = [], [pcs[0]]
-        for b, piece in zip(bps, pcs[1:]):
-            if piece == merged_p[-1]:
-                continue
-            merged_b.append(b)
-            merged_p.append(piece)
-
+        slopes = np.array(slopes, dtype=float)
+        icepts = np.array(icepts, dtype=float)
+        starts, slopes, icepts, tags = _canonical(lo, hi, edges[:-1], edges[1:], slopes, icepts, tags)
+        if tags is not None and tags.count(None) == len(tags):
+            tags = None
         self.lo = lo
         self.hi = hi
-        self.breakpoints = merged_b
-        self.pieces = merged_p
+        self._starts = starts
+        self._slopes = slopes
+        self._icepts = icepts
+        self._tags = tags
+
+    @property
+    def breakpoints(self) -> Sequence[float]:
+        return _Breakpoints(self)
+
+    @property
+    def pieces(self) -> Sequence[tuple]:
+        return _Pieces(self)
+
+    def _tag_run(self, part: slice):
+        """The tags of ``part`` of the pieces; an endless run of ``None`` (for ``zip``) when untagged."""
+        return repeat(None) if self._tags is None else self._tags[part]
 
     # -- evaluation ---------------------------------------------------------
 
     def piece_index(self, x: float) -> int:
         if not (self.lo - EPS_CMP <= x <= self.hi + EPS_CMP):
             raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        return bisect_right(self.breakpoints, x)
+        return int(np.searchsorted(self._starts[1:], x, side="right"))
 
     def value(self, x: float) -> float:
-        s, c, _ = self.pieces[self.piece_index(x)]
-        return s * x + c
+        i = self.piece_index(x)
+        return self._slopes[i].item() * x + self._icepts[i].item()
 
     def piece_bounds(self, i: int) -> tuple[float, float]:
-        lo = self.lo if i == 0 else self.breakpoints[i - 1]
-        hi = self.hi if i == len(self.breakpoints) else self.breakpoints[i]
+        lo = self.lo if i == 0 else self._starts[i].item()
+        hi = self.hi if i == len(self._starts) - 1 else self._starts[i + 1].item()
         return lo, hi
 
     def __eq__(self, other):
@@ -138,8 +277,10 @@ class PiecewiseFunction1D:
             isinstance(other, PiecewiseFunction1D)
             and self.lo == other.lo
             and self.hi == other.hi
-            and self.breakpoints == other.breakpoints
-            and self.pieces == other.pieces
+            and np.array_equal(self._starts, other._starts)
+            and np.array_equal(self._slopes, other._slopes)
+            and np.array_equal(self._icepts, other._icepts)
+            and self._tags == other._tags
         )
 
     def __repr__(self):
@@ -154,22 +295,46 @@ class PiecewiseFunction1D:
         return {
             "lo": self.lo,
             "hi": self.hi,
-            "breakpoints": list(self.breakpoints),
-            "pieces": [
-                {"slope": s, "intercept": c, "tag": t} for (s, c, t) in self.pieces
-            ],
+            "breakpoints": self._starts[1:].tolist(),
+            "pieces": self._piece_dicts(slice(None)),
         }
 
+    def _piece_dicts(self, part: slice) -> list[dict]:
+        rows = zip(self._slopes[part].tolist(), self._icepts[part].tolist(), self._tag_run(part))
+        return [{"slope": s, "intercept": c, "tag": t} for s, c, t in rows]
+
+    def json_chunks(self, extra: dict | None = None):
+        """``json.dumps`` of ``to_dict()``, updated with ``extra``, as a run of strings.
+
+        The first string holds the breakpoints and the first ``_JSON_CHUNK``
+        pieces, each later one the next ``_JSON_CHUNK`` pieces, so writing
+        them one by one never holds more piece dicts than that, nor the whole
+        text; a function of up to ``_JSON_CHUNK`` pieces is one ``json.dumps``.
+        ``extra``'s keys must be new ones; they follow ``pieces``, as
+        ``dict.update`` puts them.
+        """
+        n = len(self._slopes)
+        first = {"lo": self.lo, "hi": self.hi, "breakpoints": self._starts[1:].tolist(),
+                 "pieces": self._piece_dicts(slice(0, _JSON_CHUNK))}
+        text = json.dumps(first)[:-2]  # less the "]}" that close the pieces and the object
+        for k in range(_JSON_CHUNK, n, _JSON_CHUNK):
+            yield text
+            text = ", " + json.dumps(self._piece_dicts(slice(k, k + _JSON_CHUNK)))[1:-1]
+        yield text + "]" + (", " + json.dumps(extra)[1:-1] if extra else "") + "}"
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return "".join(self.json_chunks())
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseFunction1D":
-        return cls(
+        pieces = d["pieces"]
+        return cls.from_arrays(
             d["lo"],
             d["hi"],
             d["breakpoints"],
-            [(p["slope"], p["intercept"], p.get("tag")) for p in d["pieces"]],
+            [p["slope"] for p in pieces],
+            [p["intercept"] for p in pieces],
+            [p.get("tag") for p in pieces],
         )
 
     @classmethod
@@ -267,59 +432,33 @@ class PiecewiseBatch:
         for f in fns:
             if f.lo != lo or f.hi != hi:
                 raise ValueError("mismatched domains")
-        pieces = list(chain.from_iterable(f.pieces for f in fns))
-        starts = chain.from_iterable(chain((lo,), f.breakpoints) for f in fns)
-        n = len(pieces)
         return cls(
             lo,
             hi,
-            np.fromiter(starts, float, n),
-            np.fromiter(map(itemgetter(0), pieces), float, n),
-            np.fromiter(map(itemgetter(1), pieces), float, n),
+            np.concatenate([f._starts for f in fns]),
+            np.concatenate([f._slopes for f in fns]),
+            np.concatenate([f._icepts for f in fns]),
         )
 
     def functions(self) -> list[PiecewiseFunction1D]:
         """One ``PiecewiseFunction1D`` per function of the batch (tags ``None``)."""
         heads = np.flatnonzero(self.starts == self.lo).tolist() + [len(self.starts)]
-        a, s, c = self.starts.tolist(), self.slopes.tolist(), self.intercepts.tolist()
+        a, s, c = self.starts, self.slopes, self.intercepts
         return [
-            PiecewiseFunction1D(self.lo, self.hi, a[i + 1:j], [(s[k], c[k], None) for k in range(i, j)])
+            PiecewiseFunction1D.from_arrays(self.lo, self.hi, a[i + 1:j], s[i:j], c[i:j])
             for i, j in zip(heads, heads[1:])
         ]
 
     def canonical(self) -> "PiecewiseBatch":
-        """Every function in the canonical form ``PiecewiseFunction1D`` gives it.
-
-        The constructor's rules, on arrays: breakpoints within ``EPS_CMP`` of
-        ``hi`` are dropped; a breakpoint within ``EPS_CMP`` of the last kept one
-        is dropped too, and its right piece replaces the kept one's; equal
-        neighbouring pieces merge.
-        """
-        lo, hi = self.lo, self.hi
-        first = self.starts == lo
-        keep = first | ~(hi - self.starts < EPS_CMP)
-        starts, first = self.starts[keep], first[keep]
-        slopes, icepts = self.slopes[keep], self.intercepts[keep]
-
-        # A raw gap of at least EPS_CMP keeps its breakpoint, since the last kept
-        # one lies at or left of its neighbour; only the narrower gaps need a walk.
-        keep = first.copy()
-        inner = np.flatnonzero(~first)
-        keep[inner] = ~(starts[inner] - starts[inner - 1] < EPS_CMP)
-        anchor = 0
-        for i in np.flatnonzero(~keep).tolist():
-            if keep[i - 1]:
-                anchor = i - 1
-            keep[i] = not starts[i] - starts[anchor] < EPS_CMP
-        kept = np.flatnonzero(keep)
-        last = np.append(kept[1:], len(keep)) - 1  # a kept start takes its run's last piece
-        starts, first = starts[kept], first[kept]
-        slopes, icepts = slopes[last], icepts[last]
-
-        same = ~first
-        same[1:] &= (slopes[1:] == slopes[:-1]) & (icepts[1:] == icepts[:-1])
-        keep = ~same
-        return PiecewiseBatch(lo, hi, starts[keep], slopes[keep], icepts[keep])
+        """Every function in the canonical form ``PiecewiseFunction1D`` gives it:
+        the same kernel, on all functions at once."""
+        lo, hi, a = self.lo, self.hi, self.starts
+        ends = np.empty_like(a)
+        ends[:-1] = a[1:]
+        ends[:-1][a[1:] == lo] = hi  # a function's last piece ends at hi
+        ends[-1] = hi
+        starts, slopes, icepts, _ = _canonical(lo, hi, a, ends, self.slopes, self.intercepts)
+        return PiecewiseBatch(lo, hi, starts, slopes, icepts)
 
     def mean(self) -> "PiecewiseBatch":
         """Pointwise mean of the batch's functions, as a canonical batch of one.
@@ -329,34 +468,58 @@ class PiecewiseBatch:
         ``math.fsum`` of the first pieces and add each event's ``new - old``
         coefficient in that order (``np.add.accumulate`` adds sequentially);
         the sums after the last event at each position, divided by the number
-        of functions, are the pieces.
+        of functions, are the pieces.  Event-sized arrays are freed as soon as
+        they are used, or filled in place.
         """
         lo = self.lo
-        first = self.starts == lo
-        n = int(np.count_nonzero(first))
-        event = np.flatnonzero(~first)  # pieces that begin at a breakpoint
-        order = np.argsort(self.starts[event], kind="stable")
-        event = event[order]
+        heads = np.flatnonzero(self.starts == lo)
+        n = len(heads)
+        event = np.flatnonzero(self.starts != lo)  # pieces that begin at a breakpoint
         at = self.starts[event]
+        order = np.argsort(at, kind="stable")
+        event, at = event[order], at[order]
+        del order
+        m = len(event)
+        prev, old = event - 1, np.empty(m)
         sums = []
         for coef in (self.slopes, self.intercepts):
-            delta = coef[event] - coef[event - 1]
-            sums.append(np.add.accumulate(np.concatenate(([math.fsum(coef[first].tolist())], delta))))
-        new = np.ones(len(at), dtype=bool)
-        new[1:] = at[1:] != at[:-1]
-        done = np.empty(len(at), dtype=bool)  # the last event at its position
+            acc = np.empty(m + 1)
+            acc[0] = math.fsum(coef[heads].tolist())
+            np.take(coef, event, out=acc[1:])
+            np.subtract(acc[1:], np.take(coef, prev, out=old), out=acc[1:])
+            sums.append(np.add.accumulate(acc, out=acc))
+        del event, prev, old
+        new = np.empty(m, dtype=bool)
+        new[:1] = True
+        np.not_equal(at[1:], at[:-1], out=new[1:])
+        done = np.ones(m, dtype=bool)  # the last event at its position
         done[:-1] = new[1:]
-        done[-1:] = True
-        take = np.concatenate(([0], np.flatnonzero(done) + 1))
+        take = np.flatnonzero(done)
+        take += 1
         starts = np.concatenate(([lo], at[new]))
-        return PiecewiseBatch(lo, self.hi, starts, sums[0][take] / n, sums[1][take] / n).canonical()
+        del at, new, done
+        coefs = []
+        for acc in sums:
+            col = np.concatenate((acc[:1], acc[take]))
+            col /= n
+            coefs.append(col)
+        del sums
+        return PiecewiseBatch(lo, self.hi, starts, *coefs).canonical()
 
-    def argmax(self) -> ArgmaxResult:
+    def argmax(self, members: "PiecewiseBatch | None" = None) -> ArgmaxResult:
         """``argmax`` of the one function this batch holds.
 
         Candidates are each piece's closed start (and the domain's finite right
         end), plus, for a rising piece, the open right end as a limit.  The
         leftmost best candidate wins, and a limit only when it is strictly higher.
+
+        ``members`` is the batch this one is the ``mean`` of (ERM).  Given it,
+        every candidate within 1e-12 * max(1, |best|) of the best is scored
+        again, by the ``math.fsum`` of the members' values there (left limits
+        for a limit) over their number.  The leftmost candidate of the best
+        score wins, at one point the attained value before the limit, so an
+        exact tie goes to the leftmost maximizer even where the running sums
+        of ``mean`` round it apart.  The value returned is this batch's.
         """
         lo, hi, a, s, c = self.lo, self.hi, self.starts, self.slopes, self.intercepts
         if np.count_nonzero(a == lo) != 1:
@@ -374,16 +537,35 @@ class PiecewiseBatch:
             xs.append([hi])
             vs.append([s[-1] * hi + c[-1]])
         xs, vs = np.concatenate(xs), np.concatenate(vs)
-        i = _leftmost_max(vs)
-
         rising = np.flatnonzero(s[:-1] > 0)
-        if len(rising):
-            lim_x = a[rising + 1]
-            lim_v = s[rising] * lim_x + c[rising]
-            j = _leftmost_max(np.concatenate(([NEG_INF], lim_v))) - 1
-            if j >= 0 and lim_v[j] > vs[i]:
-                return ArgmaxResult(float(lim_x[j]), float(lim_v[j]), True)
+        lim_x = a[rising + 1]
+        lim_v = s[rising] * lim_x + c[rising]
+
+        i = _leftmost_max(vs)
+        j = _leftmost_max(np.concatenate(([NEG_INF], lim_v))) - 1
+        if members is not None:
+            best = float(max(vs[i], lim_v[j]) if j >= 0 else vs[i])
+            floor = best - 1e-12 * max(1.0, abs(best))
+            near, near_lim = vs >= floor, lim_v >= floor
+            cands = [*zip(xs[near].tolist(), repeat(False), vs[near].tolist()),
+                     *zip(lim_x[near_lim].tolist(), repeat(True), lim_v[near_lim].tolist())]
+            if len(cands) > 1:
+                scores = [members._fsum_mean(x, limit) for x, limit, _ in cands]
+                top = max(scores)
+                x, limit, v = min(cand for cand, score in zip(cands, scores) if score == top)
+                return ArgmaxResult(x, v, limit)
+        if j >= 0 and lim_v[j] > vs[i]:
+            return ArgmaxResult(float(lim_x[j]), float(lim_v[j]), True)
         return ArgmaxResult(float(xs[i]), float(vs[i]), False)
+
+    def _fsum_mean(self, x: float, limit: bool) -> float:
+        """``math.fsum`` of the functions' values at ``x`` (left limits if ``limit``) over their number."""
+        heads = np.flatnonzero(self.starts == self.lo)
+        if x == NEG_INF:
+            return math.fsum(self.intercepts[heads].tolist()) / len(heads)
+        left = self.starts < x if limit else self.starts <= x
+        k = heads + np.add.reduceat(left, heads, dtype=np.intp) - 1
+        return math.fsum((self.slopes[k] * x + self.intercepts[k]).tolist()) / len(heads)
 
 
 def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
@@ -468,8 +650,8 @@ def sweep_constant(run, lo: float, hi: float) -> PiecewiseFunction1D:
         todo += [side for side in ((a, l), (r, b)) if side[1] - side[0] >= EPS_CMP]
     # a probe on a tie that flips both ways certifies only x: the piece right of x owns it
     found = [p for p in sorted(found) if p[0] < p[1]] or found[:1]
-    pieces = [(0.0, v, None) for _, _, v in found]
-    return PiecewiseFunction1D(lo, hi, [r for _, r, _ in found[:-1]], pieces)
+    _, ends, values = zip(*found)
+    return PiecewiseFunction1D.from_arrays(lo, hi, ends[:-1], np.zeros(len(found)), values)
 
 
 def sweep_linear(solve, lo: float, hi: float) -> PiecewiseFunction1D:
@@ -511,7 +693,8 @@ def sweep_linear(solve, lo: float, hi: float) -> PiecewiseFunction1D:
             else:
                 found += [(a, x, left), (x, b, right)]
     found.sort(key=lambda f: f[0])
-    return PiecewiseFunction1D(lo, hi, [f[0] for f in found[1:]], [f[2] for f in found])
+    starts, _, lines = zip(*found)
+    return PiecewiseFunction1D.from_arrays(lo, hi, starts[1:], *zip(*lines))
 
 
 def refine_constant(
@@ -523,7 +706,6 @@ def refine_constant(
     and returns one value per point.  Adjacent equal values merge; used to
     turn an objective envelope into the piecewise-constant utility it induces.
     """
-    bounds = [fn.piece_bounds(i) for i in range(len(fn.pieces))]
-    values = evaluator([0.5 * (a + b) for a, b in bounds])
-    pieces = [(0.0, float(v), None) for v in values]
-    return PiecewiseFunction1D(fn.lo, fn.hi, [a for a, _ in bounds[1:]], pieces)
+    starts = fn._starts.tolist()
+    values = evaluator([0.5 * (a + b) for a, b in zip(starts, starts[1:] + [fn.hi])])
+    return PiecewiseFunction1D.from_arrays(fn.lo, fn.hi, fn._starts[1:], np.zeros(len(starts)), values)

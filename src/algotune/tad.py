@@ -394,6 +394,5 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     vlo, vhi = vlo - delta, vhi - delta
     tags = np.repeat([tag for _, tag in fits], [chords.shape[1] for chords, _ in fits])
     slope = (vhi - vlo) / (hi - lo)
-    pieces = list(zip(slope.tolist(), (vlo - slope * lo).tolist(), tags.tolist()))
-    fn = PiecewiseFunction1D(0.0, rho_hi, lo[1:].tolist(), pieces)
+    fn = PiecewiseFunction1D.from_arrays(0.0, rho_hi, lo[1:], slope, vlo - slope * lo, tags.tolist())
     return TadDecomposition(fn, list(tag_of), False)

@@ -1,18 +1,62 @@
-"""Frozen Python-loop ERM pieces: the oracle for the array kernel.
+"""Frozen Python-loop piecewise code: the oracle for the array kernels.
 
-``average``, ``argmax`` and ``anonymous_reserve_dual`` are copied verbatim
-from the last versions that looped over pieces in Python, and ``spa_erm_trial``
-is the body of ``_SpaErmFamily.trial`` that built one dual per sample.  Tests
-require the live code to return equal (``==``) functions and results.
+``canonicalize`` is the body of the last ``PiecewiseFunction1D`` constructor
+that canonicalized piece by piece.  ``average``, ``argmax`` and
+``anonymous_reserve_dual`` are copied verbatim from the last versions that
+looped over pieces in Python, and ``spa_erm_trial`` is the body of
+``_SpaErmFamily.trial`` that built one dual per sample.  ``erm`` adds to
+``argmax(average(duals))`` the exact re-scoring of near-tied candidates, one
+candidate and one dual at a time.  Tests require the live code to return
+equal (``==``) functions and results.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from algotune.learn import _trial_rng, spa_expected_revenue_anonymous
-from algotune.piecewise import NEG_INF, POS_INF, ArgmaxResult, PiecewiseFunction1D
+from algotune.piecewise import EPS_CMP, NEG_INF, POS_INF, ArgmaxResult, PiecewiseFunction1D
+
+
+def canonicalize(lo, hi, breakpoints, pieces):
+    """``(breakpoints, pieces)`` of ``PiecewiseFunction1D(lo, hi, breakpoints, pieces)``."""
+    lo = float(lo)
+    hi = float(hi)
+    if math.isnan(lo) or math.isnan(hi) or not lo < hi:
+        raise ValueError("domain must satisfy lo < hi")
+    breakpoints = [float(b) for b in breakpoints]
+    pieces = [(float(s), float(c), t) for (s, c, t) in pieces]
+    if len(pieces) != len(breakpoints) + 1:
+        raise ValueError("need exactly len(breakpoints) + 1 pieces")
+    if any(not b1 < b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if breakpoints and not (lo < breakpoints[0] and breakpoints[-1] < hi):
+        raise ValueError("breakpoints must lie strictly inside (lo, hi)")
+
+    # Coalesce near-duplicate breakpoints: drop the sliver piece between
+    # two cuts less than EPS_CMP apart (and slivers against lo/hi).
+    bps, pcs = [], [pieces[0]]
+    prev = lo
+    for b, piece in zip(breakpoints, pieces[1:]):
+        if (hi - b) < EPS_CMP:
+            continue  # sliver against hi: the left piece keeps the end
+        if (b - prev) < EPS_CMP:
+            pcs[-1] = piece  # right side wins, matching [t, t') convention
+            continue
+        bps.append(b)
+        pcs.append(piece)
+        prev = b
+
+    # Merge adjacent identical pieces.
+    merged_b, merged_p = [], [pcs[0]]
+    for b, piece in zip(bps, pcs[1:]):
+        if piece == merged_p[-1]:
+            continue
+        merged_b.append(b)
+        merged_p.append(piece)
+    return merged_b, merged_p
 
 
 def average(fns: Sequence[PiecewiseFunction1D]) -> PiecewiseFunction1D:
@@ -131,11 +175,49 @@ def anonymous_reserve_dual(bids: Sequence[float], hi: float = 1.0) -> PiecewiseF
 
 
 def erm(duals: Sequence[PiecewiseFunction1D]):
-    """Parameter maximizing the average of per-instance duals (leftmost tie-break)."""
+    """Parameter maximizing the average of per-instance duals (leftmost tie-break).
+
+    ``argmax`` of the average, unless more candidates than one lie within
+    1e-12 * max(1, |best|) of the best: then each is scored by the ``fsum`` of
+    the duals' values there (left limits for a limit) over their number, and
+    the leftmost of the best score wins, an attained value before a limit.
+    """
     if not duals:
         raise ValueError("need at least one dual")
-    res = argmax(average(duals))
-    return res.param, res.value
+    avg = average(duals)
+    res = argmax(avg)
+    floor = res.value - 1e-12 * max(1.0, abs(res.value))
+    cands = []  # (x, is a limit, value of the average)
+    for i, (s, c, _) in enumerate(avg.pieces):
+        a, b = avg.piece_bounds(i)
+        if a != NEG_INF:
+            cands.append((a, False, s * a + c))
+        elif s == 0:
+            cands.append((a, False, c))
+        if i == len(avg.pieces) - 1:
+            if b != POS_INF:
+                cands.append((b, False, s * b + c))
+        elif s > 0:
+            cands.append((b, True, s * b + c))
+    near = [cand for cand in cands if cand[2] >= floor]
+    if len(near) < 2:
+        return res.param, res.value
+
+    def score(x, limit):
+        values = []
+        for f in duals:
+            bps = list(f.breakpoints)
+            if x == NEG_INF:
+                values.append(f.pieces[0][1])
+                continue
+            s, c, _ = f.pieces[bisect_left(bps, x) if limit else bisect_right(bps, x)]
+            values.append(s * x + c)
+        return math.fsum(values) / len(duals)
+
+    scores = [score(x, limit) for x, limit, _ in near]
+    top = max(scores)
+    x, limit, v = min(cand for cand, sc in zip(near, scores) if sc == top)
+    return x, v
 
 
 def spa_erm_trial(fam, n: int, t: int) -> float:

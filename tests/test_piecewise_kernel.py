@@ -129,6 +129,22 @@ def test_erm_on_tad_duals_matches_the_loops():
         assert erm(group) == ref.erm(group)
 
 
+def test_erm_ties_match_the_loop():
+    """Reserve duals on a grid of values tie exactly; the running sums often round
+    the tie apart, and both ERMs give it to the leftmost maximizer."""
+    rng = np.random.default_rng(8)
+    moved = 0
+    for _ in range(300):
+        w = rng.choice(np.linspace(0.0, 1.0, int(rng.integers(3, 17))), int(rng.integers(2, 40)))
+        batch = anonymous_reserve_duals(w, np.zeros_like(w))
+        duals = batch.functions()
+        got = erm(batch)
+        assert got == erm(duals) == ref.erm(duals)
+        plain = ref.argmax(ref.average(duals))
+        moved += got != (plain.param, plain.value)
+    assert moved >= 5
+
+
 def test_argmax_unbounded_and_limit_cases():
     rising = PiecewiseFunction1D(0.0, math.inf, [1.0], [(0.0, 1.0, None), (1.0, 0.0, None)])
     falling = PiecewiseFunction1D(-math.inf, 0.0, [], [(-1.0, 0.0, None)])
