@@ -100,8 +100,8 @@ def _cmd_align(args) -> int:
         )
         return _shattered_or_3(cert)
     seqs = seqalign.sequences_from_fasta(_read(args.input))
-    if len(seqs) < 2:
-        raise ValueError("need two sequences")
+    if len(seqs) != 2:
+        raise ValueError(f"align needs exactly two FASTA records, got {len(seqs)}")
     if args.action == "run":
         p = AffineParams(args.rho1, args.rho2, args.rho3)
         aln, feats, obj = seqalign.affine_align(seqs[0], seqs[1], p)

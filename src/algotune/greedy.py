@@ -197,23 +197,44 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         adj = [set() for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             adj[u].add(v)
             adj[v].add(u)
         return cls(n, tuple(frozenset(a) for a in adj), tuple(weights))
 
     @classmethod
     def from_text(cls, text: str) -> "WeightedGraph":
-        """Edge list 'u v' plus a weight section of 'w v weight' lines."""
+        """Edge list 'u v' plus a weight section of 'w v weight' lines.
+
+        Vertex ids are nonnegative integers; a vertex has at most one 'w'
+        line, and one without takes weight 1.  Blank lines and lines starting
+        with '#' are skipped; any other line is a ``ValueError`` naming it.
+        """
+
+        def vertex(tok: str, lineno: int) -> int:
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"line {lineno}: vertex id {tok!r} is not a nonnegative integer")
+            return int(tok)
+
         edges = []
         weights: dict[int, float] = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "w":
-                weights[int(parts[1])] = float(parts[2])
+            if parts[0] == "w" and len(parts) == 3:
+                v = vertex(parts[1], lineno)
+                if v in weights:
+                    raise ValueError(f"line {lineno}: second 'w' line for vertex {v}")
+                try:
+                    weights[v] = float(parts[2])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: weight {parts[2]!r} is not a number") from None
+            elif parts[0] != "w" and len(parts) == 2:
+                edges.append((vertex(parts[0], lineno), vertex(parts[1], lineno)))
             else:
-                edges.append((int(parts[0]), int(parts[1])))
+                raise ValueError(f"line {lineno}: expected 'u v' or 'w v weight', got {line.strip()!r}")
         n = max(
             max((max(e) for e in edges), default=-1),
             max(weights, default=-1),

@@ -572,47 +572,23 @@ def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
     """Number of discontinuities of ``x -> 1{fn(x) >= z}`` over the domain.
 
     Crossings interior to linear pieces are counted, including degenerate
-    one-point touches at piece boundaries.
+    one-point touches at piece boundaries.  One pass over the pieces: each
+    gets the indicator's value at its start and just before its end, and a
+    change within a piece or across a breakpoint counts.  ``ValueError`` for
+    a NaN ``z``, against which no comparison holds.
     """
-    segs: list[int] = []  # indicator per consecutive (possibly degenerate) span
-
-    npieces = len(fn.pieces)
-    for i, (s, c, _) in enumerate(fn.pieces):
-        a, b = fn.piece_bounds(i)
-        last = i == npieces - 1
-        if s == 0:
-            segs.append(1 if c >= z else 0)
-            continue
-        x = (z - c) / s
-        if s > 0:
-            # value >= z on [x, inf)
-            if x <= a:
-                segs.append(1)
-            elif x < b:
-                segs.extend((0, 1))
-            elif last and x == b and math.isfinite(b):
-                segs.extend((0, 1))  # touches z exactly at the closed end
-            else:
-                segs.append(0)
-        else:
-            # value >= z on (-inf, x]
-            if x < a:
-                segs.append(0)
-            elif x == a:
-                segs.extend((1, 0))  # one-point touch at the piece start
-            elif x < b or (last and math.isfinite(b) and x >= b):
-                if x >= b:
-                    segs.append(1)
-                else:
-                    segs.extend((1, 0))
-            else:
-                segs.append(1)
-
-    changes = 0
-    for u, v in zip(segs, segs[1:]):
-        if u != v:
-            changes += 1
-    return changes
+    if math.isnan(z):
+        raise ValueError("z must not be NaN")
+    a, s, c = fn._starts, fn._slopes, fn._icepts
+    b = np.append(a[1:], fn.hi)
+    flat, rising = s == 0, s > 0
+    x = (z - c) / np.where(flat, 1.0, s)  # a sloped piece's line meets z at x
+    # rising: at or above z on [x, inf); falling: on (-inf, x]
+    start = np.where(flat, c >= z, np.where(rising, x <= a, x >= a))
+    end = np.where(flat, c >= z, np.where(rising, x < b, x >= b))
+    if rising[-1] and x[-1] == fn.hi < POS_INF:
+        end[-1] = True  # the last piece touches z at its closed end
+    return int(np.count_nonzero(start != end) + np.count_nonzero(start[1:] != end[:-1]))
 
 
 def check_power(bases: Sequence[float], rho: float, name: str) -> None:

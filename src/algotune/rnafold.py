@@ -128,11 +128,18 @@ class Folding:
 
 @dataclass
 class StackScores:
-    """Score table keyed by (S[i], S[j], S[i-1], S[j+1]); missing entries are 0."""
+    """Score table keyed by (S[i], S[j], S[i-1], S[j+1]); missing entries are 0.
+
+    Every key is four of the bases ``A``, ``U``, ``C``, ``G``: a key that no
+    base pair can use is a ``ValueError`` naming it.
+    """
 
     table: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in self.table:
+            if not (isinstance(key, tuple) and len(key) == 4 and all(b in BASES for b in key)):
+                raise ValueError(f"stacking-score key {key!r} is not four of the bases {BASES}")
         # the DP weighs each credit by 1 - rho, and 0 * inf is NaN at rho = 1
         if not all(map(math.isfinite, self.table.values())):
             raise ValueError("stacking scores must be finite")
@@ -161,6 +168,8 @@ class StackScores:
             if not row or row[0].startswith("#"):
                 continue
             b1, b2, b3, b4, score = [x.strip() for x in row]
+            if (b1, b2, b3, b4) in tbl:
+                raise ValueError(f"stacking-score key {(b1, b2, b3, b4)!r} is listed twice")
             tbl[(b1, b2, b3, b4)] = float(score)
         return cls(tbl)
 
@@ -340,8 +349,7 @@ def _credits(s: RnaSequence, m: StackScores) -> np.ndarray:
     table = np.zeros((4, 4, 4, 4))
     code = {b: k for k, b in enumerate(BASES)}
     for key, score in m.table.items():
-        if len(key) == 4 and all(b in code for b in key):
-            table[tuple(code[b] for b in key)] = score
+        table[tuple(code[b] for b in key)] = score
     c = np.array([code[b] for b in s.bases], dtype=np.int64)
     credits = np.zeros((n, n))
     for d in range(MIN_SEP, n):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Sequence as Seq
 
 import numpy as np
@@ -137,22 +136,6 @@ class AffineParams:
                 raise ValueError("penalties must be finite and nonnegative")
 
 
-def pairwise_features(aln: Alignment) -> AlignmentFeatures:
-    if len(aln.rows) != 2:
-        raise ValueError("feature counts are defined for pairwise alignments")
-    r1, r2 = aln.rows
-    mt = ms = ind = 0
-    for a, b in zip(r1, r2):
-        if a == GAP or b == GAP:
-            ind += 1
-        elif a == b:
-            mt += 1
-        else:
-            ms += 1
-    gp = sum(sum(1 for k, g in groupby(row) if k == GAP) for row in aln.rows)
-    return AlignmentFeatures(mt, ms, ind, gp)
-
-
 def objective(feats: AlignmentFeatures, p: AffineParams) -> float:
     return feats.matches - p.rho1 * feats.mismatches - p.rho2 * feats.indels - p.rho3 * feats.gaps
 
@@ -254,7 +237,7 @@ def _sweep(
     j' <= j, so the padded cells of a pair (i > n_k or j > m_k) never reach a
     cell of its own n_k x m_k table.  Each pair's final states are read on its
     own diagonal n_k + m_k as that diagonal is filled, and its traceback reads
-    only its own cells.
+    only its own cells and counts the pair's features as it goes.
 
     Memory: three score diagonals (O(B * (N + M)) floats), a block of
     substitution scores for the next ``_SUB_ROWS`` diagonals (O(B * N)
@@ -337,39 +320,54 @@ def _sweep(
     for k, ((s1, s2), p) in enumerate(zip(pairs, params)):
         here = base if k == 0 else [o + k * w for o, w in zip(base, widths)]
         state = finals[k].index(max(finals[k]))  # index() returns the first, i.e. D > P > Q
-        aln = _trace_back(s1, s2, cells, here, state)
-        feats = pairwise_features(aln)
+        aln, feats = _trace_back(s1.chars, s2.chars, cells, here, state)
         out.append((aln, feats, objective(feats, p)))
     return out
 
 
-def _trace_back(s1: Sequence, s2: Sequence, cells, base: list[int], state: int) -> Alignment:
-    """Follow the stored predecessor bits from cell (n, m) in ``state``."""
+def _trace_back(
+    a: tuple[str, ...], b: tuple[str, ...], cells, base: list[int], state: int
+) -> tuple[Alignment, AlignmentFeatures]:
+    """Follow the stored predecessor bits from cell (n, m) in ``state``.
+
+    Returns the alignment of ``a`` and ``b`` with its features, counted on the
+    way: a column in state D is a match or a mismatch, every other column is
+    an indel, and a gap run starts (seen from the right) at a P or Q column
+    whose right neighbour is in another state.
+    """
     r1, r2 = [], []
-    i, j = len(s1), len(s2)
+    i, j = len(a), len(b)
+    diagonal = matches = gaps = 0
+    right = _D  # state of the column to the right (D past the last column)
     while i > 0 and j > 0:
         bits = cells[base[i + j] + i] >> (2 * state)
-        prev = _D if not bits & 1 else (_P if not bits & 2 else _Q)
         if state == _D:
-            r1.append(s1[i - 1])
-            r2.append(s2[j - 1])
             i -= 1
             j -= 1
-        elif state == _P:
-            r1.append(s1[i - 1])
-            r2.append(GAP)
-            i -= 1
+            r1.append(a[i])
+            r2.append(b[j])
+            diagonal += 1
+            matches += a[i] == b[j]
         else:
-            r1.append(GAP)
-            r2.append(s2[j - 1])
-            j -= 1
-        state = prev
-    # the first row and column are reached only through end gaps
-    r1 += reversed(s1.chars[:i])
+            gaps += state != right
+            if state == _P:
+                i -= 1
+                r1.append(a[i])
+                r2.append(GAP)
+            else:
+                j -= 1
+                r1.append(GAP)
+                r2.append(b[j])
+        right = state
+        state = _D if not bits & 1 else (_P if not bits & 2 else _Q)
+    # the first row and column are reached only through end gaps; one of i, j is 0
+    gaps += (i > 0 and right != _P) + (j > 0 and right != _Q)
+    r1 += reversed(a[:i])
     r2 += [GAP] * i
     r1 += [GAP] * j
-    r2 += reversed(s2.chars[:j])
-    return Alignment((reversed(r1), reversed(r2)))
+    r2 += reversed(b[:j])
+    feats = AlignmentFeatures(matches, diagonal - matches, len(a) + len(b) - 2 * diagonal, gaps)
+    return Alignment((reversed(r1), reversed(r2))), feats
 
 
 def matched_pairs(aln: Alignment) -> set[tuple[int, int]]:
@@ -424,33 +422,32 @@ class GuideTree:
 
     def __init__(self, root: "GuideTree.Node"):
         self.root = root
-        # one pre-order walk, left first, that checks the structure before it
-        # descends and collects the labels; a leaf's children are not walked
-        labels, leaf_with_children, stack = [], False, [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                labels.append(node.label)
-                leaf_with_children = leaf_with_children or bool(node.left or node.right)
-            elif node.left is None or node.right is None:
-                raise ValueError("internal nodes need exactly two children")
-            else:
-                stack += [node.right, node.left]
+        nodes = self._walk()
+        labels = [v.label for v in nodes if v.is_leaf]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate leaf labels")
-        if leaf_with_children:
+        if any(v.is_leaf and (v.left or v.right) for v in nodes):
             raise ValueError("leaf with children")
 
-    def leaf_labels(self) -> list[str]:
-        """Leaf labels left to right."""
+    def _walk(self) -> list["GuideTree.Node"]:
+        """Every node in pre-order, left first, so a parent precedes its children.
+
+        An internal node is checked for two children before they are pushed;
+        a leaf's children are not walked.
+        """
         out, stack = [], [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                out.append(node.label)
-            else:
+            out.append(node)
+            if not node.is_leaf:
+                if node.left is None or node.right is None:
+                    raise ValueError("internal nodes need exactly two children")
                 stack += [node.right, node.left]
         return out
+
+    def leaf_labels(self) -> list[str]:
+        """Leaf labels left to right."""
+        return [v.label for v in self._walk() if v.is_leaf]
 
     @classmethod
     def from_newick(cls, text: str) -> "GuideTree":
@@ -525,16 +522,11 @@ def progressive_align(
     budget.
     """
     by_id = {s.id: s for s in seqs}
-    labels = tree.leaf_labels()
+    order = tree._walk()  # every parent before its children
     if len(by_id) != len(seqs):
         raise ValueError("sequence ids must be unique")
-    if sorted(labels) != sorted(by_id):
+    if sorted(v.label for v in order if v.is_leaf) != sorted(by_id):
         raise ValueError("guide-tree leaves do not match the sequence ids")
-
-    order = [tree.root]  # breadth-first, so every parent comes before its children
-    for node in order:
-        if not node.is_leaf:
-            order += [node.right, node.left]
 
     cons: dict[int, Sequence] = {}
     pair: dict[int, Alignment] = {}

@@ -1,11 +1,16 @@
-"""Brute-force enumeration of pairwise alignments: a test oracle for ``seqalign``.
+"""Brute-force alignment oracles for ``seqalign``: enumeration and features.
 
-Every way to interleave matches and indels of two short sequences, used to
-check the aligner's optimum and the indel decomposition's envelope.  It is a
-reference only; nothing under ``src/`` imports it.
+``enumerate_alignments`` lists every way to interleave matches and indels of
+two short sequences, used to check the aligner's optimum and the indel
+decomposition's envelope.  ``pairwise_features`` counts an alignment's
+features column by column from its rows; ``seqalign`` counts them while it
+traces an alignment back, and tests require the two to agree.  These are
+references only; nothing under ``src/`` imports them.
 """
 
-from algotune.seqalign import GAP, Alignment, Sequence
+from itertools import groupby
+
+from algotune.seqalign import GAP, Alignment, AlignmentFeatures, Sequence
 
 
 def enumerate_alignments(s1: Sequence, s2: Sequence) -> list[Alignment]:
@@ -43,3 +48,19 @@ def enumerate_alignments(s1: Sequence, s2: Sequence) -> list[Alignment]:
 
     rec(0, 0, [], [])
     return out
+
+
+def pairwise_features(aln: Alignment) -> AlignmentFeatures:
+    if len(aln.rows) != 2:
+        raise ValueError("feature counts are defined for pairwise alignments")
+    r1, r2 = aln.rows
+    mt = ms = ind = 0
+    for a, b in zip(r1, r2):
+        if a == GAP or b == GAP:
+            ind += 1
+        elif a == b:
+            mt += 1
+        else:
+            ms += 1
+    gp = sum(sum(1 for k, g in groupby(row) if k == GAP) for row in aln.rows)
+    return AlignmentFeatures(mt, ms, ind, gp)

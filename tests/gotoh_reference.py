@@ -14,8 +14,8 @@ from algotune.seqalign import (
     AlignmentFeatures,
     Sequence,
     objective,
-    pairwise_features,
 )
+from alignment_oracle import pairwise_features
 
 # DP states: 0 = diagonal, 1 = gap in row 2 (consumes s1), 2 = gap in row 1.
 _D, _P, _Q = 0, 1, 2

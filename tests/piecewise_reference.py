@@ -6,8 +6,10 @@ that canonicalized piece by piece.  ``average``, ``argmax`` and
 looped over pieces in Python, and ``spa_erm_trial`` is the body of
 ``_SpaErmFamily.trial`` that built one dual per sample.  ``erm`` adds to
 ``argmax(average(duals))`` the exact re-scoring of near-tied candidates, one
-candidate and one dual at a time.  Tests require the live code to return
-equal (``==``) functions and results.
+candidate and one dual at a time.  ``count_oscillations`` is the last
+version that branched piece by piece (it has no NaN check: a NaN ``z`` is
+outside its contract).  Tests require the live code to return equal
+(``==``) functions and results.
 """
 
 from __future__ import annotations
@@ -228,3 +230,50 @@ def spa_erm_trial(fam, n: int, t: int) -> float:
     duals = [anonymous_reserve_dual([float(v), 0.0]) for v in sample]
     rho_hat, train_value = erm(duals)
     return abs(train_value - spa_expected_revenue_anonymous(w, rho_hat))
+
+
+def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
+    """Number of discontinuities of ``x -> 1{fn(x) >= z}`` over the domain.
+
+    Crossings interior to linear pieces are counted, including degenerate
+    one-point touches at piece boundaries.
+    """
+    segs: list[int] = []  # indicator per consecutive (possibly degenerate) span
+
+    npieces = len(fn.pieces)
+    for i, (s, c, _) in enumerate(fn.pieces):
+        a, b = fn.piece_bounds(i)
+        last = i == npieces - 1
+        if s == 0:
+            segs.append(1 if c >= z else 0)
+            continue
+        x = (z - c) / s
+        if s > 0:
+            # value >= z on [x, inf)
+            if x <= a:
+                segs.append(1)
+            elif x < b:
+                segs.extend((0, 1))
+            elif last and x == b and math.isfinite(b):
+                segs.extend((0, 1))  # touches z exactly at the closed end
+            else:
+                segs.append(0)
+        else:
+            # value >= z on (-inf, x]
+            if x < a:
+                segs.append(0)
+            elif x == a:
+                segs.extend((1, 0))  # one-point touch at the piece start
+            elif x < b or (last and math.isfinite(b) and x >= b):
+                if x >= b:
+                    segs.append(1)
+                else:
+                    segs.extend((1, 0))
+            else:
+                segs.append(1)
+
+    changes = 0
+    for u, v in zip(segs, segs[1:]):
+        if u != v:
+            changes += 1
+    return changes

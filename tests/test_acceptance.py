@@ -16,7 +16,7 @@ import pytest
 from algotune import bounds, cluster, greedy, learn, mechanisms, rnafold, seqalign, tad
 from algotune.cli import dispatch
 from algotune.piecewise import Line1D, count_oscillations, upper_envelope
-from alignment_oracle import enumerate_alignments
+from alignment_oracle import enumerate_alignments, pairwise_features
 from fold_reference import fold_objective
 
 
@@ -157,7 +157,7 @@ def test_08_alignment_oracles():
             p = seqalign.AffineParams(*(float(x) for x in rng.uniform(0, 1.5, size=3)))
             alns = enumerate_alignments(s1, s2)
             best = max(
-                seqalign.objective(seqalign.pairwise_features(a), p) for a in alns
+                seqalign.objective(pairwise_features(a), p) for a in alns
             )
             _, _, obj = seqalign.affine_align(s1, s2, p)
             assert abs(obj - best) <= 1e-9
@@ -165,7 +165,7 @@ def test_08_alignment_oracles():
             fn = seqalign.indel_breakpoints(s1, s2, 1.5)
             lines = {}
             for a in alns:
-                f = seqalign.pairwise_features(a)
+                f = pairwise_features(a)
                 key = (f.matches, f.indels)
                 if key not in lines:
                     lines[key] = Line1D(-float(f.indels), float(f.matches), len(lines))

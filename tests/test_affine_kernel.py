@@ -1,11 +1,13 @@
 """The anti-diagonal ``affine_align`` against the frozen row-by-row oracle,
-plus its memory bound and length guard."""
+its traceback's features against the column-by-column count, plus its memory
+bound and length guard."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from alignment_oracle import pairwise_features
 from gotoh_reference import affine_align as reference_align
 
 from algotune.cli import dispatch
@@ -16,7 +18,9 @@ from algotune.seqalign import (
     AffineParams,
     Sequence,
     affine_align,
+    align_batch,
     indel_breakpoints,
+    objective,
 )
 
 TIE_RHOS = (0.0, 1 / 3, 2 / 7, 0.5)
@@ -61,6 +65,35 @@ def test_matches_reference_at_indel_crossings():
             assert_same(s1, s2, AffineParams(0.0, rho, 0.0))
         crossings += len(env.breakpoints)
     assert crossings >= 40
+
+
+def test_traceback_features_match_the_oracle():
+    """The features counted on the traceback equal those counted on the rows,
+    over single letters, end gaps in either row and gap opens from 0 to 4."""
+    rng = np.random.default_rng(19)
+    seen = {"single": 0, "lead1": 0, "lead2": 0, "tail1": 0, "tail2": 0}
+    for batch in range(100):
+        pairs, params = [], []
+        for k in range(50):
+            alphabet = list("ACGT"[: 1 + (batch + k) % 4])
+            n1, n2 = (int(x) for x in rng.integers(1, 16, size=2))
+            if k % 10 == 0:
+                n1 = 1
+            elif k % 10 == 1:
+                n2 = 1
+            pairs.append((Sequence(rng.choice(alphabet, size=n1)), Sequence(rng.choice(alphabet, size=n2))))
+            params.append(AffineParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 1)),
+                                       float(k % 5) if k % 3 else float(rng.uniform(0, 4))))
+        for (s1, s2), p, (aln, feats, obj) in zip(pairs, params, align_batch(pairs, params)):
+            assert feats == pairwise_features(aln), (s1, s2, p)
+            assert obj == objective(pairwise_features(aln), p)
+            r1, r2 = aln.rows
+            seen["single"] += min(len(s1), len(s2)) == 1
+            seen["lead1"] += r1[0] == "-"
+            seen["lead2"] += r2[0] == "-"
+            seen["tail1"] += r1[-1] == "-"
+            seen["tail2"] += r2[-1] == "-"
+    assert min(seen.values()) >= 300, seen
 
 
 def test_matches_reference_at_200x200():

@@ -310,6 +310,26 @@ def test_greedy_mwis_rejects_non_finite_weights(tmp_path, capsys):
             assert code == 2 and out == "" and "weights must be finite" in err, (weight, mode)
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param("-5 0\n", "line 1: vertex id '-5' is not a nonnegative integer", id="negative-id"),
+    pytest.param("0 1\n1 -2\n", "line 2: vertex id '-2' is not a nonnegative integer", id="negative-neighbour"),
+    pytest.param("0 1\nw -1 100.0\n", "line 2: vertex id '-1' is not a nonnegative integer", id="negative-weight-id"),
+    pytest.param("0 1.5\n", "line 1: vertex id '1.5' is not a nonnegative integer", id="fractional-id"),
+    pytest.param("0 1 7\n", "line 1: expected 'u v' or 'w v weight', got '0 1 7'", id="three-token-edge"),
+    pytest.param("0 1\nw 0 1.5 extra\n", "line 2: expected 'u v' or 'w v weight', got 'w 0 1.5 extra'", id="four-token-weight"),
+    pytest.param("0\n", "line 1: expected 'u v' or 'w v weight', got '0'", id="one-token"),
+    pytest.param("0 1\nw 0 1.5\n\nw 0 2.5\n", "line 4: second 'w' line for vertex 0", id="second-weight"),
+    pytest.param("0 1\nw 1 heavy\n", "line 2: weight 'heavy' is not a number", id="non-numeric-weight"),
+])
+def test_greedy_mwis_rejects_malformed_graph_lines(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    for mode in (("--rho", "1"), ("--decompose", "--rho-max", "1")):
+        code, out, err = run_cli(capsys, "greedy", "mwis", "--input", str(graph), *mode)
+        assert code == 2 and out == "" and err.startswith("error: "), mode
+        assert message in err, mode
+
+
 def test_greedy_swap_point_of_an_extreme_in_range_ratio(tmp_path, capsys):
     # sizes 1e300 apart: the packing changes where items 0 and 1 swap density rank
     items = tmp_path / "items.csv"
@@ -332,6 +352,24 @@ def test_fold_rejects_non_finite_scores(tmp_path, capsys):
         )
         assert code == 2 and out == "", argv
         assert "stacking scores must be finite" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("a,u,a,u,5\nG,C,G,C,2\n", "key ('a', 'u', 'a', 'u') is not four of the bases", id="lower-case"),
+    pytest.param("GC,C,G,C,1\n", "key ('GC', 'C', 'G', 'C') is not four of the bases", id="two-letter-base"),
+    pytest.param("G,C,G,C,2\nC,G,C,G,1\nG,C,G,C,3\n", "key ('G', 'C', 'G', 'C') is listed twice", id="repeated-tuple"),
+])
+def test_fold_rejects_scores_no_base_pair_can_use(tmp_path, capsys, text, message):
+    fasta = tmp_path / "rna.fa"
+    fasta.write_text(">r\nGGGAAACCC\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    for argv in (("run", "--rho", "0.2"), ("decompose",)):
+        code, out, err = run_cli(
+            capsys, "fold", argv[0], "--input", str(fasta), "--scores", str(scores), *argv[1:]
+        )
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert message in err, argv
 
 
 def test_seed_only_on_learn_run(tmp_path, capsys):
@@ -524,6 +562,16 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.fa"
     bad.write_text(">only_one\nACGT\n")
     assert dispatch(["align", "run", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("records", [1, 3])
+def test_align_needs_exactly_two_records(tmp_path, capsys, records):
+    fasta = tmp_path / "seqs.fa"
+    fasta.write_text("".join([">a\nACGT\n", ">b\nACG\n", ">c\nTTTT\n"][:records]))
+    for action in ("run", "decompose"):
+        code, out, err = run_cli(capsys, "align", action, "--input", str(fasta))
+        assert code == 2 and out == "", action
+        assert err == f"error: align needs exactly two FASTA records, got {records}\n", action
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):

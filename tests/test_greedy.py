@@ -182,6 +182,12 @@ def test_graph_text_parsing():
     assert g.weights == (2.5, 1.0, 3.0)
 
 
+def test_from_edges_rejects_ids_outside_the_vertex_range():
+    for edge in [(0, -1), (-2, 1), (0, 3), (3, 1)]:
+        with pytest.raises(ValueError, match=r"has a vertex outside \[0, 3\)"):
+            WeightedGraph.from_edges(3, [edge], [1.0] * 3)
+
+
 def test_knapsack_csv_parsing():
     inst = KnapsackInstance.from_csv("# value,size\n10,10\n6,4\n5,5\n", 10.0)
     assert inst.values == (10.0, 6.0, 5.0)

@@ -1,6 +1,6 @@
 """The array ERM kernel against the frozen Python loops in ``piecewise_reference``:
-equal (``==``) averaged functions, equal ``ArgmaxResult``s, equal batch duals
-and byte-identical ``learn run`` CSVs."""
+equal (``==``) averaged functions, equal ``ArgmaxResult``s, equal batch duals,
+equal oscillation counts and byte-identical ``learn run`` CSVs."""
 
 import json
 import math
@@ -12,7 +12,14 @@ import algotune.learn as learn
 from algotune.cli import dispatch
 from algotune.learn import ExperimentConfig, erm, rows_to_csv, run_experiment
 from algotune.mechanisms import anonymous_reserve_dual, anonymous_reserve_duals
-from algotune.piecewise import EPS_CMP, PiecewiseBatch, PiecewiseFunction1D, argmax, average
+from algotune.piecewise import (
+    EPS_CMP,
+    PiecewiseBatch,
+    PiecewiseFunction1D,
+    argmax,
+    average,
+    count_oscillations,
+)
 from algotune.tad import ContactMatrix, precompute_cij, rho_decomposition
 
 import piecewise_reference as ref
@@ -143,6 +150,34 @@ def test_erm_ties_match_the_loop():
         plain = ref.argmax(ref.average(duals))
         moved += got != (plain.param, plain.value)
     assert moved >= 5
+
+
+def test_count_oscillations_matches_the_loop():
+    """Thresholds drawn at random, at each piece's value at its finite ends
+    (where the indicator may touch z at one point), and at +-inf."""
+    rng = np.random.default_rng(31)
+    pairs = unbounded = flat = at_ends = 0
+    for fns in corpus(seed=31, cases=900):
+        for fn in fns:
+            zs = [float(rng.normal()), float(rng.integers(-2, 3)), math.inf, -math.inf]
+            ends = [fn.lo, *fn.breakpoints, fn.hi]
+            for k, (s, c, _) in enumerate(fn.pieces):
+                ends_here = [x for x in ends[k:k + 2] if math.isfinite(x)]
+                zs += [s * x + c for x in ends_here]
+                at_ends += len(ends_here)
+                flat += s == 0
+            unbounded += not math.isfinite(fn.hi - fn.lo)
+            for z in zs:
+                assert count_oscillations(fn, z) == ref.count_oscillations(fn, z), (fn, z)
+            pairs += len(zs)
+    assert pairs >= 20_000 and unbounded >= 500 and flat >= 500 and at_ends >= 5_000
+
+
+def test_count_oscillations_rejects_a_nan_threshold():
+    fn = PiecewiseFunction1D(0.0, 3.0, [1.0, 2.0], [(-1.0, 1.0, None), (0.0, 0.5, None), (-1.0, 3.0, None)])
+    assert ref.count_oscillations(fn, math.nan) == 2  # although fn >= nan holds nowhere
+    with pytest.raises(ValueError, match="NaN"):
+        count_oscillations(fn, math.nan)
 
 
 def test_argmax_unbounded_and_limit_cases():

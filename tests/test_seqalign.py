@@ -20,14 +20,13 @@ from algotune.seqalign import (
     indel_breakpoints,
     lb_verify,
     objective,
-    pairwise_features,
     parse_fasta,
     progressive_align,
     q_score,
     sequences_from_fasta,
     utility_breakpoints,
 )
-from alignment_oracle import enumerate_alignments
+from alignment_oracle import enumerate_alignments, pairwise_features
 from test_cli_golden import run_case, write_inputs
 
 rng = np.random.default_rng(42)
