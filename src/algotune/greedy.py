@@ -208,8 +208,9 @@ class WeightedGraph:
         """Edge list 'u v' plus a weight section of 'w v weight' lines.
 
         Vertex ids are nonnegative integers; a vertex has at most one 'w'
-        line, and one without takes weight 1.  Blank lines and lines starting
-        with '#' are skipped; any other line is a ``ValueError`` naming it.
+        line, and one without takes weight 1.  Weights must be finite and
+        positive.  Blank lines and lines starting with '#' are skipped; any
+        other line is a ``ValueError`` naming it.
         """
 
         def vertex(tok: str, lineno: int) -> int:
@@ -228,9 +229,14 @@ class WeightedGraph:
                 if v in weights:
                     raise ValueError(f"line {lineno}: second 'w' line for vertex {v}")
                 try:
-                    weights[v] = float(parts[2])
+                    w = float(parts[2])
                 except ValueError:
                     raise ValueError(f"line {lineno}: weight {parts[2]!r} is not a number") from None
+                if not math.isfinite(w):
+                    raise ValueError(f"line {lineno}: weights must be finite, got {parts[2]!r}")
+                if w <= 0:
+                    raise ValueError(f"line {lineno}: weights must be positive, got {parts[2]!r}")
+                weights[v] = w
             elif parts[0] != "w" and len(parts) == 2:
                 edges.append((vertex(parts[0], lineno), vertex(parts[1], lineno)))
             else:

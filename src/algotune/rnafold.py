@@ -163,14 +163,25 @@ class StackScores:
 
     @classmethod
     def from_csv(cls, text: str) -> "StackScores":
+        """Rows of four bases and a score; blank rows and rows starting with '#' are skipped.
+
+        A row of another length, or whose score is not a number, is a
+        ``ValueError`` naming its row number.
+        """
         tbl = {}
-        for row in csv.reader(io.StringIO(text)):
+        for k, row in enumerate(csv.reader(io.StringIO(text)), 1):
             if not row or row[0].startswith("#"):
                 continue
+            if len(row) != 5:
+                raise ValueError(f"stacking-score row {k}: expected four bases and a score, "
+                                 f"got {len(row)} fields")
             b1, b2, b3, b4, score = [x.strip() for x in row]
             if (b1, b2, b3, b4) in tbl:
                 raise ValueError(f"stacking-score key {(b1, b2, b3, b4)!r} is listed twice")
-            tbl[(b1, b2, b3, b4)] = float(score)
+            try:
+                tbl[(b1, b2, b3, b4)] = float(score)
+            except ValueError:
+                raise ValueError(f"stacking-score row {k}: score {score!r} is not a number") from None
         return cls(tbl)
 
 

@@ -5,17 +5,20 @@ The pairwise aligner maximizes
     matches - rho1 * mismatches - rho2 * indels - rho3 * gap_runs
 
 with a three-state (Gotoh) dynamic program, swept one anti-diagonal at a
-time with numpy over a leading batch axis: ``align_batch`` aligns B pairs,
-each under its own penalties, in one sweep, padded to the batch's longest
-lengths, and ``affine_align`` is a batch of one.  Padding is exact because a
-cell reads only cells above and to its left, so padded cells never reach a
-pair's own table.  The sweep keeps three score diagonals (O(B * (n + m))
-floats) and a traceback of one uint8 per cell; a batch is cut into chunks
-whose traceback fits a stated budget, from which ``MAX_LEN`` also follows
-(see ``align_batch``).  Tie-breaking is fixed globally (diagonal, then gap
-in the second row, then gap in the first row) so the output is a
-deterministic function of the parameters; the sweep does the float
-operations of the cell-by-cell recurrence, so scores and ties match it
+time with numpy: ``align_batch`` aligns B pairs, each under its own
+penalties, in one sweep, padded to the batch's longest lengths, and
+``affine_align`` is a batch of one.  The arrays are cell-major (cell i of
+pair k at flat index i * B + k), so a diagonal of all B pairs is one
+contiguous range, and the sweep builds its array views once per block of
+``_SUB_ROWS`` diagonals, which makes a diagonal six numpy calls.  Padding is
+exact because a cell reads only cells above and to its left, so padded cells
+never reach a pair's own table.  The sweep keeps three score diagonals
+(O(B * (n + m)) floats) and a traceback of one uint8 per cell; a batch is
+cut into chunks whose traceback fits a stated budget, from which ``MAX_LEN``
+also follows (see ``align_batch``).  Tie-breaking is fixed globally
+(diagonal, then gap in the second row, then gap in the first row) so the
+output is a deterministic function of the parameters; the sweep does the
+float operations of the cell-by-cell recurrence, so scores and ties match it
 exactly.  ``progressive_align`` aligns all guide-tree nodes of one height in
 one batch.  On the one-dimensional
 indel slice (rho1 = rho3 = 0) the optimal objective is the upper envelope of
@@ -52,7 +55,7 @@ class Sequence:
 
     def __init__(self, chars: Iterable[str] | str, id: str = ""):
         toks = tuple(chars)
-        if any(c == GAP for c in toks):
+        if GAP in toks:
             raise ValueError(f"symbol {GAP!r} is reserved for gaps")
         self.chars = toks
         self.id = id
@@ -92,9 +95,9 @@ class Alignment:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("rows must have equal length")
-        for j in range(width):
-            if all(r[j] == GAP for r in rows):
-                raise ValueError(f"column {j} is all gaps")
+        if any(map(_GAPS.issuperset, zip(*rows))):
+            j = next(j for j, col in enumerate(zip(*rows)) if _GAPS.issuperset(col))
+            raise ValueError(f"column {j} is all gaps")
         self.rows = rows
 
     @property
@@ -151,7 +154,7 @@ MAX_LEN = math.isqrt(TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL)  # 10_000
 
 # bit weights packing two "candidate below the max" flags per target state
 _TRACE_BITS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
-_SUB_ROWS = 64  # diagonals per block of precomputed substitution scores
+_SUB_ROWS = 64  # diagonals per block: one set of views and substitution scores each
 
 
 def affine_align(
@@ -194,6 +197,8 @@ def align_batch(
     """
     if len(params) != len(pairs):
         raise ValueError("need one AffineParams per pair")
+    if not pairs:
+        return []
     sizes = [(len(s1), len(s2)) for s1, s2 in pairs]
     for n, m in sizes:
         if n == 0 or m == 0:
@@ -222,125 +227,149 @@ def _sweep(
 
     The recurrences are swept by anti-diagonals: cell (i, j) reads only
     diagonals i + j - 1 and i + j - 2, so each diagonal of every pair is
-    computed at once from a (target state x D/P/Q predecessor x pair x cell)
+    computed at once from a (target state x D/P/Q predecessor x cell)
     candidate block, with exactly the float operations of the cell-by-cell
     recurrence (one max, then add the substitution score; predecessor minus
     the open or extend penalty, each pair its own).  Scores are therefore
-    bit-identical to a row-by-row loop, and so are ties.  The predecessor is the first candidate
-    equal to the block's max, which is the D > P > Q priority that ``argmax``
-    would give; two comparisons with the max find it (numpy's ``argmax`` over
-    a length-3 axis costs a call per cell).  The traceback stores, per target
-    state, whether D and whether P fall below the max: 6 bits in one uint8
-    per cell.
+    bit-identical to a row-by-row loop, and so are ties.  The predecessor is
+    the first candidate equal to the block's max, which is the D > P > Q
+    priority that ``argmax`` would give; two comparisons with the max find it
+    (numpy's ``argmax`` over a length-3 axis costs a call per cell).  The
+    traceback stores, per target state, whether D and whether P fall below
+    the max: 6 bits in one uint8 per cell.
 
-    Padding is exact: a cell reads only cells (i', j') with i' <= i and
-    j' <= j, so the padded cells of a pair (i > n_k or j > m_k) never reach a
-    cell of its own n_k x m_k table.  Each pair's final states are read on its
-    own diagonal n_k + m_k as that diagonal is filled, and its traceback reads
-    only its own cells and counts the pair's features as it goes.
+    Layout is cell-major: cell i of pair k sits at flat index ``i * B + k``
+    in the score ring, the candidate block, the substitution block and each
+    diagonal's traceback, so a diagonal's cells for all B pairs are one
+    contiguous range and the P/Q predecessors (cells i - 1 and i of the
+    previous diagonal) are one strided view whose offset axis steps B cells.
+    The penalties are tiled along the flat axis once per sweep.
+
+    The diagonals go in blocks of ``_SUB_ROWS``.  Each block computes every
+    diagonal over the cell window ``[c0, c1]`` that any of its diagonals
+    needs, so the ring views, the candidate block and the substitution
+    scores are built once per block and a diagonal is six numpy calls.
+    Window cells outside a diagonal's table (j < 0, or past a pair's
+    lengths) are computed but never read by a table cell: cell (i, j) reads
+    only cells (i', j') with i - 1 <= i' <= i and j - 1 <= j' <= j.  They
+    hold finite scores or -inf, so they raise no floating-point error.  The
+    end-gap boundaries are written after each diagonal's compute: cell
+    (0, d) gets its Q state, and cell (d, 0) all three states (D and Q at
+    -inf), since a window may cover i = d.  Padding is exact by the same
+    argument: the padded cells of a pair (i > n_k or j > m_k) never reach a
+    cell of its own n_k x m_k table.  Each pair's final states are read on
+    its own diagonal n_k + m_k as that diagonal is filled.
 
     Memory: three score diagonals (O(B * (N + M)) floats), a block of
-    substitution scores for the next ``_SUB_ROWS`` diagonals (O(B * N)
+    substitution scores and candidates for ``_SUB_ROWS`` diagonals (O(B * N)
     floats), and a traceback of ``TRACEBACK_BYTES_PER_CELL * B * N * M``
-    bytes, held diagonal by diagonal so that each diagonal of all pairs is
-    one contiguous slice.
+    bytes: only each diagonal's table cells are stored, so cell (i, d - i)
+    of pair k is ``trace[base[d] + i * B + k]``.
     """
     B = len(pairs)
     ns = [len(s1) for s1, _ in pairs]
     ms = [len(s2) for _, s2 in pairs]
     n, m = max(ns), max(ms)
 
-    # per-pair penalty columns, shape (B, 1): the scalar operations, row by row
-    rho1, rho2, rho3 = np.array([(p.rho1, p.rho2, p.rho3) for p in params]).T[:, :, None]
+    rho1, rho2, rho3 = np.array([(p.rho1, p.rho2, p.rho3) for p in params]).T
     open_pen = rho2 + rho3
     ext_pen = rho2
-    # edge[k, e]: end gap of e + 1 letters for pair k, -(open + e * ext)
-    edge = -(open_pen + np.arange(max(n, m)) * ext_pen)
+    # edge[e, k]: end gap of e + 1 letters for pair k, -(open + e * ext)
+    edge = -(open_pen + np.arange(max(n, m))[:, None] * ext_pen)
+    # cell (e + 1, 0) of every pair: only the P state is reachable
+    side = np.full((len(edge), 3, B), NEG)
+    side[:, _P] = edge
     codes: dict[str, int] = {}
-    a = np.full((B, n), -2)
-    b = np.full((B, n + m + n), -1)
+    a = np.full((n, B), -2)
+    b = np.full((n + m + n, B), -1)
     for k, (s1, s2) in enumerate(pairs):
-        a[k, :ns[k]] = [codes.setdefault(c, len(codes)) for c in s1.chars]
-        b[k, n:n + ms[k]] = [codes.setdefault(c, len(codes)) for c in s2.chars]
-    # facing[d - 2, k, i - 1] is the code of pair k's s2[d - i - 1], or -1 off the table
-    facing = np.ndarray((n + m - 1, B, n), b.dtype, b, n * b.itemsize,
-                        (b.itemsize, b.strides[0], -b.itemsize))
-    # subtracted from the (D, P, Q) predecessors of P, then of Q
-    pen = np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]])
+        a[:ns[k], k] = [codes.setdefault(c, len(codes)) for c in s1.chars]
+        b[n:n + ms[k], k] = [codes.setdefault(c, len(codes)) for c in s2.chars]
+    # facing[d - 2, i - 1, k] is the code of pair k's s2[d - i - 1], or -1 off the table
+    row = b.strides[0]
+    facing = np.ndarray((n + m - 1, n, B), b.dtype, b, n * row, (row, -row, b.strides[1]))
+    # subtracted from the (D, P, Q) predecessors of P, then of Q, tiled per cell
+    pen = np.tile(np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]]), n)
 
-    # ring[d % 3, state, k, i] holds cell (i, d - i) of pair k; one spare
-    # column lets the P and Q predecessors of a diagonal (offsets i - 1 and i)
-    # be one window.
-    ring = np.full((3, 3, B, n + 2), NEG)
-    ring[0, _D, :, 0] = 0.0
-    ring[1, _Q, :, 0] = ring[1, _P, :, 1] = edge[:, 0]
-    s_slot, s_state, s_pair, s_cell = ring.strides
-    window = np.ndarray((3, 2, 3, B, n + 1), ring.dtype, ring, 0,
-                        (s_slot, s_cell, s_state, s_pair, s_cell))
-    cand = np.empty((3, 3, B, n))  # target state, predecessor state, pair, cell
+    # ring[d % 3, state, i * B + k] holds cell (i, d - i) of pair k
+    ring = np.full((3, 3, (n + 1) * B), NEG)
+    ring[0, _D, :B] = 0.0
+    ring[1, _Q, :B] = ring[1, _P, B:2 * B] = edge[0]
+    s_slot, s_state, s_cell = ring.strides
+    # window[d % 3, 0 or 1, state, (i - 1) * B + k]: cell i - 1, or i, of pair k
+    window = np.ndarray((3, 2, 3, n * B), ring.dtype, ring, 0, (s_slot, B * s_cell, s_state, s_cell))
     ends: dict[int, list[int]] = {}
     for k in range(B):
         ends.setdefault(ns[k] + ms[k], []).append(k)
     finals: list = [None] * B  # per pair, its (D, P, Q) scores at cell (n_k, m_k)
-    # interior cells (i, j >= 1), diagonal by diagonal; within one, pair by
-    # pair, ascending i.  Pair k's cell (i, d - i) is trace[base[d] + k * widths[d] + i].
     trace = np.empty(B * n * m, dtype=np.uint8)
     base = [0, 0]
-    widths = [0, 0]
     off = 0
-    for d in range(2, n + m + 1):
-        cur, last = d % 3, (d - 1) % 3
-        if d == 3:  # the origin's slot moves on to cell (0, 3)
-            ring[0, _D, :, 0] = NEG
-        if d <= m:  # cell (0, d)
-            ring[cur, _Q, :, 0] = edge[:, d - 1]
-        if d <= n:  # cell (d, 0)
-            ring[cur, _P, :, d] = edge[:, d - 1]
-        if (d - 2) % _SUB_ROWS == 0:
-            sub = np.where(facing[d - 2:d - 2 + _SUB_ROWS] == a, 1.0, -rho1)
-            first = d
-        lo, hi = max(1, d - m), min(n, d - 1)
-        w = hi - lo + 1
-        base.append(off - lo)
-        widths.append(w)
-        c = cand[..., :w]
-        c[_D] = ring[(d - 2) % 3, :, :, lo - 1:hi]
-        np.subtract(window[last, :, :, :, lo - 1:hi], pen, out=c[1:])
-        best = ring[cur, :, :, lo:hi + 1]
-        np.maximum.reduce(c, 1, out=best)
-        below = c[:, :2] != best[:, None]
-        np.matmul(_TRACE_BITS, below.reshape(6, B * w), out=trace[off:off + B * w])
-        off += B * w
-        best[_D] += sub[d - first, :, lo - 1:hi]
-        for k in ends.get(d, ()):
-            finals[k] = ring[cur, :, k, ns[k]].tolist()
+    for d0 in range(2, n + m + 1, _SUB_ROWS):
+        c0, c1 = max(1, d0 - m), min(n, d0 + _SUB_ROWS - 2)
+        lo_f, hi_f = (c0 - 1) * B, c1 * B
+        width = hi_f - lo_f
+        sub = np.where(facing[d0 - 2:d0 - 2 + _SUB_ROWS, c0 - 1:c1] == a[c0 - 1:c1], 1.0, -rho1)
+        sub = sub.reshape(len(sub), width)
+        cand = np.empty((3, 3, width))  # target state, predecessor state, cell
+        below = np.empty((3, 2, width), dtype=bool)
+        flags = below.reshape(6, width)
+        cand_d, cand_pq, tied = cand[_D], cand[1:], cand[:, :2]
+        cut = pen[:, :, :width]
+        views = []
+        for cur in range(3):
+            best = ring[cur, :, lo_f + B:hi_f + B]
+            views.append((ring[cur - 2, :, lo_f:hi_f], window[cur - 1, :, :, lo_f:hi_f],
+                          best, best[:, None], best[_D]))
+        for d in range(d0, min(d0 + _SUB_ROWS, n + m + 1)):
+            cur = d % 3
+            diag, pq, best, best3, best_d = views[cur]
+            np.copyto(cand_d, diag)
+            np.subtract(pq, cut, out=cand_pq)
+            np.maximum.reduce(cand, 1, out=best)
+            np.not_equal(tied, best3, out=below)
+            lo, hi = max(1, d - m), min(n, d - 1)
+            w = (hi - lo + 1) * B
+            s = (lo - c0) * B
+            np.matmul(_TRACE_BITS, flags[:, s:s + w], out=trace[off:off + w])
+            base.append(off - lo * B)
+            off += w
+            np.add(best_d, sub[d - d0], out=best_d)
+            if d == 3:  # the origin's slot moves on to cell (0, 3)
+                ring[0, _D, :B] = NEG
+            if d <= m:  # cell (0, d)
+                ring[cur, _Q, :B] = edge[d - 1]
+            if d <= n:  # cell (d, 0)
+                ring[cur, :, d * B:(d + 1) * B] = side[d - 1]
+            for k in ends.get(d, ()):
+                finals[k] = ring[cur, :, ns[k] * B + k].tolist()
 
     cells = memoryview(trace)
     out = []
     for k, ((s1, s2), p) in enumerate(zip(pairs, params)):
-        here = base if k == 0 else [o + k * w for o, w in zip(base, widths)]
         state = finals[k].index(max(finals[k]))  # index() returns the first, i.e. D > P > Q
-        aln, feats = _trace_back(s1.chars, s2.chars, cells, here, state)
+        aln, feats = _trace_back(s1.chars, s2.chars, cells, base, B, k, state)
         out.append((aln, feats, objective(feats, p)))
     return out
 
 
 def _trace_back(
-    a: tuple[str, ...], b: tuple[str, ...], cells, base: list[int], state: int
+    a: tuple[str, ...], b: tuple[str, ...], cells, base: list[int], B: int, k: int, state: int
 ) -> tuple[Alignment, AlignmentFeatures]:
-    """Follow the stored predecessor bits from cell (n, m) in ``state``.
+    """Follow pair ``k``'s stored predecessor bits from cell (n, m) in ``state``.
 
-    Returns the alignment of ``a`` and ``b`` with its features, counted on the
-    way: a column in state D is a match or a mismatch, every other column is
-    an indel, and a gap run starts (seen from the right) at a P or Q column
-    whose right neighbour is in another state.
+    Cell (i, j) of pair k of a B-pair sweep is ``cells[base[i + j] + i * B +
+    k]`` (see ``_sweep``).  Returns the alignment of ``a`` and ``b`` with its
+    features, counted on the way: a column in state D is a match or a
+    mismatch, every other column is an indel, and a gap run starts (seen from
+    the right) at a P or Q column whose right neighbour is in another state.
     """
     r1, r2 = [], []
     i, j = len(a), len(b)
     diagonal = matches = gaps = 0
     right = _D  # state of the column to the right (D past the last column)
     while i > 0 and j > 0:
-        bits = cells[base[i + j] + i] >> (2 * state)
+        bits = cells[base[i + j] + i * B + k] >> (2 * state)
         if state == _D:
             i -= 1
             j -= 1
@@ -513,6 +542,9 @@ def progressive_align(
     Bottom-up, each internal node pairwise-aligns its children's consensus
     sequences and stores its own consensus; top-down, gap columns are pushed
     into the children's alignment sequences ("once a gap, always a gap").
+    A node's consensus is ``consensus`` of its two rows, built in one pass:
+    the letter where the other row has a gap, else the smaller letter (the
+    shared one where they agree).
 
     A node's pair depends only on nodes below it, so the internal nodes are
     grouped by height (1 + the larger child height) and each height is one
@@ -545,7 +577,11 @@ def progressive_align(
         alns = align_batch([(cons[id(v.left)], cons[id(v.right)]) for v in level], [p] * len(level))
         for v, (aln, _, _) in zip(level, alns):
             pair[id(v)] = aln
-            cons[id(v)] = consensus(aln)
+            # consensus() of two rows: a letter over a gap, else the smaller letter
+            cons[id(v)] = Sequence(
+                [y if x == GAP else x if y == GAP or x <= y else y for x, y in zip(*aln.rows)],
+                id="consensus",
+            )
 
     sigma: dict[int, tuple[str, ...]] = {id(tree.root): cons[id(tree.root)].chars}
     rows: dict[str, tuple[str, ...]] = {}
@@ -665,7 +701,9 @@ def lb_verify(n: int):
     """Build the lower-bound family and check shattering with witnesses 3/4.
 
     Candidate parameters are midpoints of the full threshold grid (plus one
-    point below and one above), which avoids evaluating at tie points.
+    point below and one above), which avoids evaluating at tie points.  Each
+    pair is aligned at every candidate in one ``align_batch`` call, and
+    ``verify_shattering`` looks its Q-scores up by candidate.
     Returns ``(certificate, pairs, references, thresholds)``.
     """
     from .bounds import verify_shattering
@@ -676,14 +714,11 @@ def lb_verify(n: int):
     candidates += [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
     candidates.append(grid[-1] * 1.5)
 
-    duals = [
-        (
-            lambda rho, s=pair, ref=ref: q_score(
-                affine_align(s[0], s[1], AffineParams(0.0, rho, 0.0))[0], ref
-            )
-        )
-        for pair, ref in zip(pairs, references)
-    ]
+    duals = []
+    for (s1, s2), ref in zip(pairs, references):
+        alns = _align_at_indel_penalties(s1, s2, candidates)
+        scores = dict(zip(candidates, (q_score(aln, ref) for aln, _, _ in alns)))
+        duals.append(scores.__getitem__)
     cert = verify_shattering(duals, [0.75] * len(pairs), candidates)
     return cert, pairs, references, thresholds
 

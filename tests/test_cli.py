@@ -330,6 +330,21 @@ def test_greedy_mwis_rejects_malformed_graph_lines(tmp_path, capsys, text, messa
         assert message in err, mode
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param("0 1\nw 0 nan\n", "line 2: weights must be finite, got 'nan'", id="nan"),
+    pytest.param("0 1\nw 1 1\n\nw 0 -inf\n", "line 4: weights must be finite, got '-inf'", id="minus-inf"),
+    pytest.param("0 1\nw 0 -2\n", "line 2: weights must be positive, got '-2'", id="negative"),
+    pytest.param("# zero\n0 1\nw 1 0\n", "line 3: weights must be positive, got '0'", id="zero"),
+])
+def test_greedy_mwis_weight_errors_name_the_line(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    for mode in (("--rho", "1"), ("--decompose", "--rho-max", "1")):
+        code, out, err = run_cli(capsys, "greedy", "mwis", "--input", str(graph), *mode)
+        assert code == 2 and out == "" and err.startswith("error: "), mode
+        assert message in err, mode
+
+
 def test_greedy_swap_point_of_an_extreme_in_range_ratio(tmp_path, capsys):
     # sizes 1e300 apart: the packing changes where items 0 and 1 swap density rank
     items = tmp_path / "items.csv"
@@ -363,6 +378,25 @@ def test_fold_rejects_scores_no_base_pair_can_use(tmp_path, capsys, text, messag
     fasta = tmp_path / "rna.fa"
     fasta.write_text(">r\nGGGAAACCC\n")
     scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    for argv in (("run", "--rho", "0.2"), ("decompose",)):
+        code, out, err = run_cli(
+            capsys, "fold", argv[0], "--input", str(fasta), "--scores", str(scores), *argv[1:]
+        )
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert message in err, argv
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("G,C,G,C\n", "row 1: expected four bases and a score, got 4 fields", id="four-fields"),
+    pytest.param("C,G,C,G,1\nG,C,G,C,1,2\n", "row 2: expected four bases and a score, got 6 fields",
+                 id="six-fields"),
+    pytest.param("# base pairs\n\nG,C,G,C,x\n", "row 3: score 'x' is not a number", id="score-not-a-number"),
+])
+def test_fold_score_row_errors_name_the_row(tmp_path, capsys, text, message):
+    fasta = tmp_path / "r.fa"
+    fasta.write_text(">r\nGGGAAACCC\n")
+    scores = tmp_path / "s.csv"
     scores.write_text(text)
     for argv in (("run", "--rho", "0.2"), ("decompose",)):
         code, out, err = run_cli(
