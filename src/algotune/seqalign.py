@@ -10,12 +10,13 @@ penalties, in one sweep, padded to the batch's longest lengths, and
 ``affine_align`` is a batch of one.  The arrays are cell-major (cell i of
 pair k at flat index i * B + k), so a diagonal of all B pairs is one
 contiguous range, and the sweep builds its array views once per block of
-``_SUB_ROWS`` diagonals, which makes a diagonal six numpy calls.  Padding is
-exact because a cell reads only cells above and to its left, so padded cells
-never reach a pair's own table.  The sweep keeps three score diagonals
-(O(B * (n + m)) floats) and a traceback of one uint8 per cell; a batch is
-cut into chunks whose traceback fits a stated budget, from which ``MAX_LEN``
-also follows (see ``align_batch``).  Tie-breaking is fixed globally
+``_SUB_ROWS`` diagonals, which makes a diagonal four numpy calls and a block's
+traceback one more.  Padding is exact because a cell reads only cells above
+and to its left, so padded cells never reach a pair's own table.  The sweep
+keeps three score diagonals (O(B * (n + m)) floats) and a traceback of one
+uint8 per cell of each diagonal's block window; a batch is cut into chunks
+whose traceback fits a stated budget, the traceback of a ``MAX_LEN`` x
+``MAX_LEN`` pair (see ``align_batch``).  Tie-breaking is fixed globally
 (diagonal, then gap in the second row, then gap in the first row) so the
 output is a deterministic function of the parameters; the sweep does the
 float operations of the cell-by-cell recurrence, so scores and ties match it
@@ -146,15 +147,32 @@ def objective(feats: AlignmentFeatures, p: AffineParams) -> float:
 # DP states: 0 = diagonal, 1 = gap in row 2 (consumes s1), 2 = gap in row 1.
 _D, _P, _Q = 0, 1, 2
 
-# The traceback keeps one uint8 per interior cell, so an n x m alignment
-# holds n * m bytes of it; scores live on three anti-diagonals, O(n + m).
-TRACEBACK_BUDGET = 100_000_000  # bytes
-TRACEBACK_BYTES_PER_CELL = 1
-MAX_LEN = math.isqrt(TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL)  # 10_000
-
 # bit weights packing two "candidate below the max" flags per target state
 _TRACE_BITS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
-_SUB_ROWS = 64  # diagonals per block: one set of views and substitution scores each
+_SUB_ROWS = 64  # diagonals per block: one set of views, substitution scores and trace rows each
+
+
+def _blocks(n: int, m: int):
+    """The diagonal blocks of an n x m sweep: ``(d0, rows, c0, c1)`` each.
+
+    Block ``d0`` holds diagonals d0 .. d0 + rows - 1, and the cell window
+    ``[c0, c1]`` covers every cell i that any of them computes.
+    """
+    for d0 in range(2, n + m + 1, _SUB_ROWS):
+        yield d0, min(_SUB_ROWS, n + m + 1 - d0), max(1, d0 - m), min(n, d0 + _SUB_ROWS - 2)
+
+
+def _trace_bytes(n: int, m: int) -> int:
+    """Traceback bytes per pair of an n x m sweep: one uint8 per window cell of each diagonal."""
+    return sum(rows * (c1 - c0 + 1) for _, rows, c0, c1 in _blocks(n, m))
+
+
+# The traceback keeps one uint8 per cell of each diagonal's block window,
+# about n * m bytes for a square pair and up to 64 * n for a skinny one;
+# scores live on three anti-diagonals, O(n + m).  The budget is what the
+# largest pair takes, so one pair always fits it.
+MAX_LEN = 10_000
+TRACEBACK_BUDGET = _trace_bytes(MAX_LEN, MAX_LEN)  # bytes, 100,628,737
 
 
 def affine_align(
@@ -167,10 +185,10 @@ def affine_align(
     predecessor choice.
 
     Memory: three score diagonals (O(n + m) floats) and a traceback of
-    ``TRACEBACK_BYTES_PER_CELL * n * m`` bytes.  ``MAX_LEN`` is the largest
-    L with ``L * L * TRACEBACK_BYTES_PER_CELL <= TRACEBACK_BUDGET`` (10^8
-    bytes), i.e. 10,000, so one pair always fits the budget; lengths are
-    checked before anything is allocated.
+    ``_trace_bytes(n, m)`` bytes, one per cell of each diagonal's block
+    window (see ``_sweep``).  ``TRACEBACK_BUDGET`` is the traceback of a
+    ``MAX_LEN`` x ``MAX_LEN`` pair (10,000 x 10,000), so one pair always fits
+    it; lengths and penalties are checked before anything is allocated.
     """
     return align_batch(((s1, s2),), (p,))[0]
 
@@ -188,31 +206,45 @@ def align_batch(
     enter the sweep as per-pair columns, so one set shared by every pair
     costs what it did as a scalar.
 
-    Every length is checked against ``MAX_LEN`` first; then the pairs are
-    cut, in order, into chunks whose traceback ``TRACEBACK_BYTES_PER_CELL *
-    B * N * M`` fits ``TRACEBACK_BUDGET`` (B pairs padded to the chunk's
-    longest N and M; a pair too large on its own forms its own chunk), and
-    each chunk is one ``_sweep``.  The chunks are planned before any table
-    is allocated.
+    Every length is checked against ``MAX_LEN`` first, and every pair's
+    score bound ``(n + m) * (1 + rho1 + 2 * (rho2 + rho3))`` must be finite,
+    so no DP score or candidate leaves the float range.  Then the pairs are
+    cut, in order, into chunks whose traceback ``B * _trace_bytes(N, M)``
+    fits ``TRACEBACK_BUDGET`` and whose padded bound (the same with N + M
+    and the chunk's largest penalties) is finite; B pairs are padded to the
+    chunk's longest N and M, and a pair too large on its own forms its own
+    chunk.  Each chunk is one ``_sweep``.  The traceback counts window
+    cells, not table cells: a skinny N x 1 pair takes about 64 * N bytes,
+    not N.  The chunks are planned before any table is allocated.
     """
     if len(params) != len(pairs):
         raise ValueError("need one AffineParams per pair")
     if not pairs:
         return []
     sizes = [(len(s1), len(s2)) for s1, s2 in pairs]
-    for n, m in sizes:
+    # every score and candidate of an N x M sweep, padded cells' too, is -inf
+    # or at most (N + M) * grow in size
+    grows = [1 + p.rho1 + 2 * (p.rho2 + p.rho3) for p in params]
+    for (n, m), p, grow in zip(sizes, params, grows):
         if n == 0 or m == 0:
             raise ValueError("sequences must be nonempty")
         if n > MAX_LEN or m > MAX_LEN:
             raise ValueError(f"sequence longer than configured max {MAX_LEN}")
-    cells = TRACEBACK_BUDGET // TRACEBACK_BYTES_PER_CELL
+        if not math.isfinite((n + m) * grow):
+            raise ValueError(
+                f"penalties rho1={p.rho1!r}, rho2={p.rho2!r}, rho3={p.rho3!r} take the "
+                f"alignment scores of a {n} x {m} pair out of the float range"
+            )
     cuts = [0]
-    top_n = top_m = 0
-    for k, (n, m) in enumerate(sizes):
-        top_n, top_m = max(top_n, n), max(top_m, m)
-        if k > cuts[-1] and (k - cuts[-1] + 1) * top_n * top_m > cells:
+    top_n = top_m = top_grow = 0
+    for k, ((n, m), grow) in enumerate(zip(sizes, grows)):
+        top_n, top_m, top_grow = max(top_n, n), max(top_m, m), max(top_grow, grow)
+        if k > cuts[-1] and (
+            (k - cuts[-1] + 1) * _trace_bytes(top_n, top_m) > TRACEBACK_BUDGET
+            or not math.isfinite((top_n + top_m) * top_grow)
+        ):
             cuts.append(k)
-            top_n, top_m = n, m
+            top_n, top_m, top_grow = n, m, grow
     cuts.append(len(sizes))
     out = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -239,20 +271,30 @@ def _sweep(
     the max: 6 bits in one uint8 per cell.
 
     Layout is cell-major: cell i of pair k sits at flat index ``i * B + k``
-    in the score ring, the candidate block, the substitution block and each
-    diagonal's traceback, so a diagonal's cells for all B pairs are one
-    contiguous range and the P/Q predecessors (cells i - 1 and i of the
-    previous diagonal) are one strided view whose offset axis steps B cells.
-    The penalties are tiled along the flat axis once per sweep.
+    in the score ring, the candidate rows, the substitution block and the
+    traceback rows, so a diagonal's cells for all B pairs are one contiguous
+    range and the P/Q predecessors (cells i - 1 and i of the previous
+    diagonal) are one strided view whose offset axis steps B cells.  The
+    penalties are tiled along the flat axis once per sweep.  One buffer
+    ``work[slot, target, state, flat]`` holds both the score ring and the
+    candidates: ``work[s, 0]`` is ring slot s, and ``work[s, 1:]`` the P and
+    Q candidate rows of the diagonal whose D predecessors are in slot s, so
+    ``work[s]`` is that diagonal's whole candidate block and its D
+    candidates are read in place.  The max-reduce reads slot (d - 2) % 3 and
+    writes slot d % 3, so its input and output never overlap.
 
-    The diagonals go in blocks of ``_SUB_ROWS``.  Each block computes every
-    diagonal over the cell window ``[c0, c1]`` that any of its diagonals
-    needs, so the ring views, the candidate block and the substitution
-    scores are built once per block and a diagonal is six numpy calls.
-    Window cells outside a diagonal's table (j < 0, or past a pair's
+    The diagonals go in blocks of ``_SUB_ROWS`` (see ``_blocks``).  Each
+    block computes every diagonal over the cell window ``[c0, c1]`` that any
+    of its diagonals needs, so the views and the substitution scores are
+    built once per block, and a diagonal is four numpy calls: subtract the
+    penalties into the P/Q candidate rows, max-reduce into the ring, compare
+    with the max into the block's flag rows, add the substitution scores.
+    One ``matmul`` per block then packs the flags into the block's traceback
+    rows.  Window cells outside a diagonal's table (j < 0, or past a pair's
     lengths) are computed but never read by a table cell: cell (i, j) reads
     only cells (i', j') with i - 1 <= i' <= i and j - 1 <= j' <= j.  They
-    hold finite scores or -inf, so they raise no floating-point error.  The
+    hold -inf or scores within the padded bound that ``align_batch`` keeps
+    finite, so they raise no floating-point error.  The
     end-gap boundaries are written after each diagonal's compute: cell
     (0, d) gets its Q state, and cell (d, 0) all three states (D and Q at
     -inf), since a window may cover i = d.  Padding is exact by the same
@@ -260,11 +302,12 @@ def _sweep(
     cell of its own n_k x m_k table.  Each pair's final states are read on
     its own diagonal n_k + m_k as that diagonal is filled.
 
-    Memory: three score diagonals (O(B * (N + M)) floats), a block of
-    substitution scores and candidates for ``_SUB_ROWS`` diagonals (O(B * N)
-    floats), and a traceback of ``TRACEBACK_BYTES_PER_CELL * B * N * M``
-    bytes: only each diagonal's table cells are stored, so cell (i, d - i)
-    of pair k is ``trace[base[d] + i * B + k]``.
+    Memory: the ring and candidate rows (27 * B * (N + 1) floats), a block
+    of substitution scores and flags for ``_SUB_ROWS`` diagonals (O(B * N)
+    floats and bytes), and a traceback of ``B * _trace_bytes(N, M)`` bytes:
+    one row per diagonal as wide as its block's window, so cell (i, d - i)
+    of pair k is ``trace[base[d] + i * B + k]`` with ``base[d]`` the row's
+    start less ``c0 * B``.
     """
     B = len(pairs)
     ns = [len(s1) for s1, _ in pairs]
@@ -291,49 +334,43 @@ def _sweep(
     # subtracted from the (D, P, Q) predecessors of P, then of Q, tiled per cell
     pen = np.tile(np.array([[open_pen, ext_pen, open_pen], [open_pen, open_pen, ext_pen]]), n)
 
-    # ring[d % 3, state, i * B + k] holds cell (i, d - i) of pair k
-    ring = np.full((3, 3, (n + 1) * B), NEG)
+    # work[d % 3, 0, state, i * B + k] holds cell (i, d - i) of pair k (the ring);
+    # work[d % 3, 1:] the P and Q candidates of diagonal d + 2, whose D candidates
+    # are cells i - 1 of ring slot d % 3, so work[d % 3] is that diagonal's block
+    work = np.empty((3, 3, 3, (n + 1) * B))
+    ring = work[:, 0]
+    ring.fill(NEG)
     ring[0, _D, :B] = 0.0
     ring[1, _Q, :B] = ring[1, _P, B:2 * B] = edge[0]
-    s_slot, s_state, s_cell = ring.strides
+    s_slot, _, s_state, s_cell = work.strides
     # window[d % 3, 0 or 1, state, (i - 1) * B + k]: cell i - 1, or i, of pair k
-    window = np.ndarray((3, 2, 3, n * B), ring.dtype, ring, 0, (s_slot, B * s_cell, s_state, s_cell))
+    window = np.ndarray((3, 2, 3, n * B), work.dtype, work, 0, (s_slot, B * s_cell, s_state, s_cell))
     ends: dict[int, list[int]] = {}
     for k in range(B):
         ends.setdefault(ns[k] + ms[k], []).append(k)
     finals: list = [None] * B  # per pair, its (D, P, Q) scores at cell (n_k, m_k)
-    trace = np.empty(B * n * m, dtype=np.uint8)
+    trace = np.empty(B * _trace_bytes(n, m), dtype=np.uint8)
     base = [0, 0]
     off = 0
-    for d0 in range(2, n + m + 1, _SUB_ROWS):
-        c0, c1 = max(1, d0 - m), min(n, d0 + _SUB_ROWS - 2)
+    for d0, rows, c0, c1 in _blocks(n, m):
         lo_f, hi_f = (c0 - 1) * B, c1 * B
         width = hi_f - lo_f
-        sub = np.where(facing[d0 - 2:d0 - 2 + _SUB_ROWS, c0 - 1:c1] == a[c0 - 1:c1], 1.0, -rho1)
-        sub = sub.reshape(len(sub), width)
-        cand = np.empty((3, 3, width))  # target state, predecessor state, cell
-        below = np.empty((3, 2, width), dtype=bool)
-        flags = below.reshape(6, width)
-        cand_d, cand_pq, tied = cand[_D], cand[1:], cand[:, :2]
+        sub = np.where(facing[d0 - 2:d0 - 2 + rows, c0 - 1:c1] == a[c0 - 1:c1], 1.0, -rho1)
+        sub = sub.reshape(rows, width)
+        below = np.empty((rows, 3, 2, width), dtype=bool)  # target, D or P, cell
         cut = pen[:, :, :width]
         views = []
         for cur in range(3):
+            cand = work[cur - 2, :, :, lo_f:hi_f]  # target state, predecessor state, cell
             best = ring[cur, :, lo_f + B:hi_f + B]
-            views.append((ring[cur - 2, :, lo_f:hi_f], window[cur - 1, :, :, lo_f:hi_f],
+            views.append((cand, cand[1:], cand[:, :2], window[cur - 1, :, :, lo_f:hi_f],
                           best, best[:, None], best[_D]))
-        for d in range(d0, min(d0 + _SUB_ROWS, n + m + 1)):
+        for d in range(d0, d0 + rows):
             cur = d % 3
-            diag, pq, best, best3, best_d = views[cur]
-            np.copyto(cand_d, diag)
+            cand, cand_pq, tied, pq, best, best3, best_d = views[cur]
             np.subtract(pq, cut, out=cand_pq)
             np.maximum.reduce(cand, 1, out=best)
-            np.not_equal(tied, best3, out=below)
-            lo, hi = max(1, d - m), min(n, d - 1)
-            w = (hi - lo + 1) * B
-            s = (lo - c0) * B
-            np.matmul(_TRACE_BITS, flags[:, s:s + w], out=trace[off:off + w])
-            base.append(off - lo * B)
-            off += w
+            np.not_equal(tied, best3, out=below[d - d0])
             np.add(best_d, sub[d - d0], out=best_d)
             if d == 3:  # the origin's slot moves on to cell (0, 3)
                 ring[0, _D, :B] = NEG
@@ -343,6 +380,12 @@ def _sweep(
                 ring[cur, :, d * B:(d + 1) * B] = side[d - 1]
             for k in ends.get(d, ()):
                 finals[k] = ring[cur, :, ns[k] * B + k].tolist()
+        size = rows * width
+        # the flags read as uint8, so matmul packs them without a cast copy of the block
+        np.matmul(_TRACE_BITS, below.view(np.uint8).reshape(rows, 6, width),
+                  out=trace[off:off + size].reshape(rows, width))
+        base += range(off - c0 * B, off - c0 * B + size, width)
+        off += size
 
     cells = memoryview(trace)
     out = []
@@ -620,8 +663,14 @@ def indel_breakpoints(s1: Sequence, s2: Sequence, rho_max: float) -> PiecewiseFu
     (as ``rnafold.rho_breakpoints`` tags pieces with their pair count).
     Breakpoints are exact ratios of integer feature counts.
     """
-    if rho_max <= 0:
-        raise ValueError("rho_max must be positive")
+    if not (math.isfinite(rho_max) and rho_max > 0):
+        raise ValueError(f"rho_max must be positive and finite, got {rho_max!r}")
+    n, m = len(s1), len(s2)
+    if not math.isfinite((n + m) * (1 + 2 * rho_max)):  # align_batch's bound at rho_max
+        raise ValueError(
+            f"rho_max={rho_max!r} takes the alignment scores of a {n} x {m} pair "
+            "out of the float range"
+        )
 
     def solve(rhos):
         alns = _align_at_indel_penalties(s1, s2, rhos)

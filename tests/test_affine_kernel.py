@@ -14,9 +14,9 @@ from algotune.cli import dispatch
 from algotune.seqalign import (
     MAX_LEN,
     TRACEBACK_BUDGET,
-    TRACEBACK_BYTES_PER_CELL,
     AffineParams,
     Sequence,
+    _trace_bytes,
     affine_align,
     align_batch,
     indel_breakpoints,
@@ -118,8 +118,7 @@ def test_traced_memory_at_600x600():
 
 def test_max_len_follows_the_traceback_budget():
     assert MAX_LEN == 10_000
-    assert MAX_LEN**2 * TRACEBACK_BYTES_PER_CELL <= TRACEBACK_BUDGET
-    assert (MAX_LEN + 1) ** 2 * TRACEBACK_BYTES_PER_CELL > TRACEBACK_BUDGET
+    assert _trace_bytes(MAX_LEN, MAX_LEN) <= TRACEBACK_BUDGET < _trace_bytes(MAX_LEN + 1, MAX_LEN + 1)
 
 
 def test_over_max_len_rejected_before_allocation():

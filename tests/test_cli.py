@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -774,3 +775,57 @@ def test_align_decompose_accepts_pairs_over_500_nt(tmp_path, capsys):
         for x in (lo + (hi - lo) * f for f in (0.25, 0.5, 0.75)):
             _, _, obj = affine_align(Sequence(s1), Sequence(s2), AffineParams(0.0, x, 0.0))
             assert fn.value(x) == pytest.approx(obj, abs=1e-9), x
+
+
+def write_overflow_inputs(tmp_path):
+    (tmp_path / "p.fa").write_text(">a\nACGTACGT\n>b\nACGACGT\n")
+    (tmp_path / "m.fa").write_text(">s1\nACGT\n>s2\nAGT\n")
+    (tmp_path / "t.nwk").write_text("(s1,s2);\n")
+    return str(tmp_path / "p.fa"), str(tmp_path / "m.fa"), str(tmp_path / "t.nwk")
+
+
+def test_penalties_whose_scores_leave_the_float_range_exit_2(tmp_path, capsys):
+    # these once ran with overflow warnings, and align run printed a wrong
+    # alignment with objective -Infinity
+    pair, msa, tree = write_overflow_inputs(tmp_path)
+    for argv, want in (
+        (("align", "run", "--input", pair, "--rho1", "0.5", "--rho2", "1e308", "--rho3", "1e308"),
+         "penalties rho1=0.5, rho2=1e+308, rho3=1e+308 take the alignment scores of a 8 x 7 pair"),
+        (("msa", "run", "--input", msa, "--tree", tree, "--rho1", "0.5", "--rho2", "0.5",
+          "--rho3", "1e308"),
+         "penalties rho1=0.5, rho2=0.5, rho3=1e+308 take the alignment scores of a 4 x 3 pair"),
+        (("align", "decompose", "--input", pair, "--rho-max", "1e308"),
+         "rho_max=1e+308 takes the alignment scores of a 8 x 7 pair"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"error: {want} out of the float range" in err, err
+
+
+def test_large_finite_penalties_still_align(tmp_path, capsys):
+    pair, _, _ = write_overflow_inputs(tmp_path)
+    for rho, rows, objective in (
+        ("1e12", ["ACGTACGT", "ACG-ACGT"], 7 - 2e12),
+        # 7 matches and 4 matches less 3 mismatches both vanish next to 2e300:
+        # the tie goes to the end gap, as in the cell-by-cell recurrence
+        ("1e300", ["ACGTACGT", "-ACGACGT"], -2e300),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                capsys, "align", "run", "--input", pair, "--rho1", "0.5", "--rho2", rho,
+                "--rho3", rho, "--format", "json",
+            )
+        assert code == 0
+        got = json.loads(out)
+        assert (got["rows"], got["objective"]) == (rows, objective), rho
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_align_decompose_names_a_bad_rho_max(tmp_path, capsys, value):
+    pair, _, _ = write_overflow_inputs(tmp_path)
+    code, out, err = run_cli(capsys, "align", "decompose", "--input", pair, "--rho-max", value)
+    assert code == 2 and out == ""
+    assert f"error: rho_max must be positive and finite, got {float(value)!r}" in err, err

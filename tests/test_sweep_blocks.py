@@ -1,8 +1,9 @@
 """The cell-major Gotoh sweep across its blocks of diagonals, and the glue
 around it: ``align_batch`` against the frozen row-by-row oracle at block
-edges, the one-pass node consensus of ``progressive_align`` against the
-frozen ``consensus``, and the ``align_batch`` calls of ``progressive_align``
-and ``lb_verify``."""
+edges and on lopsided shapes, the window-cell traceback and the chunk plan
+that counts it, the one-pass node consensus of ``progressive_align`` against
+the frozen ``consensus``, and the ``align_batch`` calls of
+``progressive_align`` and ``lb_verify``."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from algotune.seqalign import (
     AffineParams,
     GuideTree,
     Sequence,
+    _trace_bytes,
     align_batch,
     gen_lb_sequences,
     lb_verify,
@@ -91,6 +93,102 @@ def test_empty_batch():
         align_batch([], [AffineParams()])
     with pytest.raises(ValueError, match="one AffineParams per pair"):
         align_batch([(Sequence("A"), Sequence("A"))], [])
+
+
+SKINNY = ((300, 1), (1, 300), (200, 7), (7, 200), (64, 1), (1, 65))
+
+
+def random_pair(rng, n, m, alphabet="ACGT"):
+    return Sequence(rng.choice(list(alphabet), size=n)), Sequence(rng.choice(list(alphabet), size=m))
+
+
+def assert_matches_reference(pairs, params):
+    with np.errstate(all="raise"):
+        got = align_batch(pairs, params)
+    assert len(got) == len(pairs)
+    for (s1, s2), p, (aln, feats, obj) in zip(pairs, params, got):
+        want = reference_align(s1, s2, p)
+        assert (aln.rows, feats, obj) == (want[0].rows, want[1], want[2]), (s1, s2, p)
+
+
+def test_lopsided_and_skinny_pairs_match_reference():
+    rng = np.random.default_rng(250)
+    for n, m in SKINNY:
+        for p in (AffineParams(0.5, 0.5, 0.5), AffineParams(1 / 3, 0.0, 2 / 7), AffineParams()):
+            assert_matches_reference([random_pair(rng, n, m, "AB")], [p])
+    for size in (2, 3, 5, 9):
+        for tie_heavy in (True, False):
+            shapes = [SKINNY[int(i)] for i in rng.integers(0, len(SKINNY), size=size)]
+            shapes[-1] = tuple(int(x) for x in rng.integers(1, 40, size=2))
+            pairs = [random_pair(rng, n, m, "AB" if tie_heavy else "ACGT") for n, m in shapes]
+            assert_matches_reference(pairs, edge_params(rng, size, tie_heavy))
+
+
+def test_trace_bytes_counts_each_diagonal_window():
+    assert _trace_bytes(600, 600) == 396_449
+    assert _trace_bytes(35, 35) == 2_265
+    assert _trace_bytes(10_000, 10_000) == 100_628_737
+    assert _trace_bytes(10_000, 1) == 639_232
+    assert _trace_bytes(1, 10_000) == 10_000
+    for n, m in ((1, 1), (63, 2), (64, 64), (130, 3)):
+        # one row per diagonal 2 .. n + m, as wide as its block's cell window
+        total = 0
+        for d in range(2, n + m + 1):
+            d0 = d - (d - 2) % _SUB_ROWS  # the first diagonal of d's block
+            total += min(n, d0 + _SUB_ROWS - 2) - max(1, d0 - m) + 1
+        assert _trace_bytes(n, m) == total, (n, m)
+
+
+def test_trace_bytes_is_what_the_sweep_allocates(monkeypatch):
+    allocated = []
+
+    class RecordingNumpy:  # seqalign's numpy, noting the size of each uint8 array it makes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, dtype=float):
+            if dtype == np.uint8:
+                allocated.append(shape)
+            return np.empty(shape, dtype)
+
+    monkeypatch.setattr(seqalign, "np", RecordingNumpy())
+    rng = np.random.default_rng(251)
+    for shapes in (((300, 1),), ((1, 300),), ((200, 7), (3, 3)), ((35, 35),) * 8,
+                   ((63, 1), (1, 1)), ((70, 2), (2, 70), (5, 5))):
+        allocated.clear()
+        pairs = [random_pair(rng, n, m) for n, m in shapes]
+        align_batch(pairs, [AffineParams(0.5, 0.5, 0.5)] * len(pairs))
+        n, m = max(n for n, _ in shapes), max(m for _, m in shapes)
+        assert allocated == [len(shapes) * _trace_bytes(n, m)], shapes
+
+
+def test_skinny_batch_is_cut_by_window_bytes(monkeypatch):
+    per_pair = _trace_bytes(600, 1)
+    assert per_pair > 60 * 600  # 64 window cells per diagonal, not one table cell
+    budget = 600 * 600  # room for 600 such pairs counted by n * m, for 9 counted by window
+    monkeypatch.setattr(seqalign, "TRACEBACK_BUDGET", budget)
+    chunks = []
+
+    def counted(pairs, params):  # the plan is under test here, not the sweep
+        chunks.append(len(pairs))
+        return [None] * len(pairs)
+
+    monkeypatch.setattr(seqalign, "_sweep", counted)
+    align_batch([(Sequence("A" * 600), Sequence("C"))] * 2000, [AffineParams()] * 2000)
+    assert sum(chunks) == 2000
+    assert max(chunks) * per_pair <= budget
+    assert chunks[:-1] == [budget // per_pair] * (len(chunks) - 1)
+
+
+def test_chunks_keep_padded_scores_in_the_float_range(monkeypatch):
+    """A pair whose own scores fit is not padded to lengths where they would not."""
+    sweeps = recording(monkeypatch, "_sweep")
+    rng = np.random.default_rng(252)
+    pairs = [random_pair(rng, 1, 1), random_pair(rng, 200, 200), random_pair(rng, 3, 2)]
+    huge = AffineParams(1e306, 1e306, 1e306)  # 2 * (1 + 5e306) fits, 400 * (1 + 5e306) does not
+    assert_matches_reference(pairs, [huge, AffineParams(0.5, 0.5, 0.5), AffineParams(1, 1, 1)])
+    assert [len(batch) for (batch, _), _ in sweeps] == [1, 2]
 
 
 def tree_height(node):
