@@ -191,8 +191,11 @@ def exp_sum_roots(
     from Laguerre's rule of signs and Rolle's theorem (Polya & Szego,
     *Problems and Theorems in Analysis II*, Part V), so t distinct bases give
     at most t - 1 roots and none is lost to a grid.  A root is a bracket
-    midpoint, or a point where h evaluates to exactly 0.  ``ValueError`` when
-    a power of a base ratio overflows, which cannot happen for lo >= 0.
+    midpoint, or a point where h evaluates to exactly 0.  The bisection also
+    stops at adjacent doubles, so a ``tol`` below every spacing in [lo, hi]
+    (``math.ulp(0.0)``, say) gives each root as one of the two adjacent
+    doubles around its sign change.  ``ValueError`` when a power of a base
+    ratio overflows, which cannot happen for lo >= 0.
     """
     if lo >= hi or tol <= 0:
         raise ValueError("need lo < hi and tol > 0")

@@ -73,14 +73,25 @@ class KnapsackInstance:
 
     @classmethod
     def from_csv(cls, text: str, capacity: float) -> "KnapsackInstance":
+        """Rows 'value,size'; blank lines and lines starting with '#' are skipped.
+
+        A row of another length, or with a field that is not a number, is a
+        ``ValueError`` naming its line.
+        """
         vals, sizes = [], []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            v, s = line.split(",")
-            vals.append(float(v))
-            sizes.append(float(s))
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected 'value,size', got {line!r}")
+            try:
+                v, s = map(float, fields)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {line!r} is not two numbers") from None
+            vals.append(v)
+            sizes.append(s)
         return cls(tuple(vals), tuple(sizes), float(capacity))
 
 

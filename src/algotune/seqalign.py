@@ -15,8 +15,8 @@ traceback one more.  Padding is exact because a cell reads only cells above
 and to its left, so padded cells never reach a pair's own table.  The sweep
 keeps three score diagonals (O(B * (n + m)) floats) and a traceback of one
 uint8 per cell of each diagonal's block window; a batch is cut into chunks
-whose traceback fits a stated budget, the traceback of a ``MAX_LEN`` x
-``MAX_LEN`` pair (see ``align_batch``).  Tie-breaking is fixed globally
+whose traceback and scratch fit a stated budget, what a ``MAX_LEN`` x
+``MAX_LEN`` pair takes (see ``align_batch``).  Tie-breaking is fixed globally
 (diagonal, then gap in the second row, then gap in the first row) so the
 output is a deterministic function of the parameters; the sweep does the
 float operations of the cell-by-cell recurrence, so scores and ties match it
@@ -167,12 +167,29 @@ def _trace_bytes(n: int, m: int) -> int:
     return sum(rows * (c1 - c0 + 1) for _, rows, c0, c1 in _blocks(n, m))
 
 
+#: bytes per window cell of a sweep's largest block: its substitution scores (8), its
+#: flags (6) and the comparison they come from (1), while the previous block's scores
+#: and flags (14) are still held
+_BLOCK_BYTES = 29
+#: bytes per letter of a pair held for the whole sweep: the score ring and candidate
+#: rows (27 floats per cell of the first sequence), letter codes, end gaps and the
+#: aligned rows
+_LINE_BYTES = 320
+
+
+def _sweep_bytes(n: int, m: int) -> int:
+    """Peak bytes per pair of an n x m sweep: traceback, largest block's scratch, rows."""
+    cells = [rows * (c1 - c0 + 1) for _, rows, c0, c1 in _blocks(n, m)]  # as in _trace_bytes
+    return sum(cells) + _BLOCK_BYTES * max(cells) + _LINE_BYTES * (n + m + 1)
+
+
 # The traceback keeps one uint8 per cell of each diagonal's block window,
-# about n * m bytes for a square pair and up to 64 * n for a skinny one;
+# about n * m bytes for a square pair and up to 64 * n for a skinny one, and
+# each block of 64 diagonals up to 29 bytes of scratch per window cell;
 # scores live on three anti-diagonals, O(n + m).  The budget is what the
 # largest pair takes, so one pair always fits it.
 MAX_LEN = 10_000
-TRACEBACK_BUDGET = _trace_bytes(MAX_LEN, MAX_LEN)  # bytes, 100,628,737
+SWEEP_BUDGET = _sweep_bytes(MAX_LEN, MAX_LEN)  # bytes, 125,589,057
 
 
 def affine_align(
@@ -184,11 +201,12 @@ def affine_align(
     gap in row 2, then a gap in row 1, both for the final state and for every
     predecessor choice.
 
-    Memory: three score diagonals (O(n + m) floats) and a traceback of
+    Memory: three score diagonals (O(n + m) floats), a traceback of
     ``_trace_bytes(n, m)`` bytes, one per cell of each diagonal's block
-    window (see ``_sweep``).  ``TRACEBACK_BUDGET`` is the traceback of a
-    ``MAX_LEN`` x ``MAX_LEN`` pair (10,000 x 10,000), so one pair always fits
-    it; lengths and penalties are checked before anything is allocated.
+    window, and one block's scratch (see ``_sweep``), ``_sweep_bytes(n, m)``
+    at the peak.  ``SWEEP_BUDGET`` is what a ``MAX_LEN`` x ``MAX_LEN`` pair
+    (10,000 x 10,000) takes, so one pair always fits it; lengths and
+    penalties are checked before anything is allocated.
     """
     return align_batch(((s1, s2),), (p,))[0]
 
@@ -209,13 +227,15 @@ def align_batch(
     Every length is checked against ``MAX_LEN`` first, and every pair's
     score bound ``(n + m) * (1 + rho1 + 2 * (rho2 + rho3))`` must be finite,
     so no DP score or candidate leaves the float range.  Then the pairs are
-    cut, in order, into chunks whose traceback ``B * _trace_bytes(N, M)``
-    fits ``TRACEBACK_BUDGET`` and whose padded bound (the same with N + M
-    and the chunk's largest penalties) is finite; B pairs are padded to the
-    chunk's longest N and M, and a pair too large on its own forms its own
-    chunk.  Each chunk is one ``_sweep``.  The traceback counts window
-    cells, not table cells: a skinny N x 1 pair takes about 64 * N bytes,
-    not N.  The chunks are planned before any table is allocated.
+    cut, in order, into chunks whose peak ``B * _sweep_bytes(N, M)`` (the
+    traceback, the largest block's scratch and the per-letter rows) fits
+    ``SWEEP_BUDGET`` and whose padded bound (the same with N + M and the
+    chunk's largest penalties) is finite; B pairs are padded to the chunk's
+    longest N and M, and a pair too large on its own forms its own chunk.
+    Each chunk is one ``_sweep``.  The traceback and the scratch count
+    window cells, not table cells: a skinny N x 1 pair takes about
+    64 * N bytes of traceback, not N, and up to 29 times as much block
+    scratch.  The chunks are planned before any table is allocated.
     """
     if len(params) != len(pairs):
         raise ValueError("need one AffineParams per pair")
@@ -240,7 +260,7 @@ def align_batch(
     for k, ((n, m), grow) in enumerate(zip(sizes, grows)):
         top_n, top_m, top_grow = max(top_n, n), max(top_m, m), max(top_grow, grow)
         if k > cuts[-1] and (
-            (k - cuts[-1] + 1) * _trace_bytes(top_n, top_m) > TRACEBACK_BUDGET
+            (k - cuts[-1] + 1) * _sweep_bytes(top_n, top_m) > SWEEP_BUDGET
             or not math.isfinite((top_n + top_m) * top_grow)
         ):
             cuts.append(k)
@@ -307,7 +327,7 @@ def _sweep(
     floats and bytes), and a traceback of ``B * _trace_bytes(N, M)`` bytes:
     one row per diagonal as wide as its block's window, so cell (i, d - i)
     of pair k is ``trace[base[d] + i * B + k]`` with ``base[d]`` the row's
-    start less ``c0 * B``.
+    start less ``c0 * B``.  ``_sweep_bytes`` bounds all three per pair.
     """
     B = len(pairs)
     ns = [len(s1) for s1, _ in pairs]
@@ -593,7 +613,7 @@ def progressive_align(
     grouped by height (1 + the larger child height) and each height is one
     ``align_batch`` call: a balanced tree over L leaves takes about log2(L)
     sweeps instead of L - 1, with every pair as ``affine_align`` would give
-    it.  ``align_batch`` splits a height into chunks that fit the traceback
+    it.  ``align_batch`` splits a height into chunks that fit the sweep
     budget.
     """
     by_id = {s.id: s for s in seqs}

@@ -9,18 +9,18 @@ crossings with one explicit-stack sweep, the ray search of
 ``piecewise.sweep_linear`` with line crossings replaced by the roots of
 objective differences, which ``bounds.exp_sum_roots`` isolates with a
 certificate (coefficients summed per span, so sets tied at every rho give
-no root) to a thousandth of the caller's tolerance, and approximates each
-region's objective by linear pieces within that tolerance.  The objective
-of an optimal set is a convex exponential sum whose curvature falls in rho,
-so each chord is laid at a width that a curvature bound certifies, with no
-probing between its ends: a chord may rise up to twice the tolerance above
-the objective, and every chord is then lowered by one constant, half the
+no root) at adjacent doubles, and approximates each region's objective by
+linear pieces within the caller's tolerance.  The objective of an optimal
+set is a convex exponential sum whose curvature falls in rho, so each chord
+is laid at a width that a curvature bound certifies, with no probing
+between its ends: a chord may rise up to twice the tolerance above the
+objective, and every chord is then lowered by one constant, half the
 largest certified height, which is about the fewest linear pieces any fit
-within the tolerance can take.  The chord ends go through Python's float
-``pow`` (the C library's, as ``TadWeights.weight`` computes them) rather
-than ``np.power``, which can round differently in the last bit, so before
-the lowering they are the same doubles as one ``tad_objective`` call per
-point gives.
+within the tolerance can take.  Values and curvature come from one numpy
+array expression; the chord ends are within a few ulps of
+``tad_objective``.  One precondition, tol >= 2**-41 times the optimal
+objective at rho = 0, leaves the rounding and the placement of the set
+changes within the slack the chord widths keep.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -194,26 +193,19 @@ _CELLS = 64
 _SLACK = 2.0**-8
 
 
-def _objective_at(terms, xs: np.ndarray) -> np.ndarray:
-    """``tad_objective`` of one set at every point of ``xs``, bit for bit.
+def _objective_at(terms, xs: np.ndarray, k: int = 0) -> np.ndarray:
+    """sum c * ln(s)**k * s**-x at every point of ``xs``, for a set's ``(c_ij, j - i)`` pairs.
 
-    ``terms`` are the set's ``(c_ij, j - i)`` pairs.  Each power is Python's
-    float ``pow`` (the C library's), as in ``TadWeights.weight``: the
-    vectorized ``np.power`` can round differently in the last bit.  A
-    division, like a sum of two terms, is one correctly rounded IEEE
-    operation in numpy as in Python, and a correctly rounded sum is what
-    ``math.fsum`` returns; the zero start turns -0.0 into 0.0, as ``fsum``
-    does.  Sums of three or more terms go through ``fsum`` point by point.
+    k = 0 gives the set's objective, within a few ulps of ``tad_objective``
+    (numpy's ``exp`` in place of the C library's ``pow``); k = 2 gives its
+    curvature g''.  An empty set, or a sum of zeros, gives 0.0, never -0.0.
     """
-    n = len(xs)
-    xl = xs.tolist()  # Python floats, so that pow is float.__pow__
-    parts = [c / np.fromiter(map(pow, repeat(s, n), xl), float, n) for c, s in terms]
-    if len(parts) > 2:
-        return np.array([math.fsum(col) for col in zip(*(p.tolist() for p in parts))])
-    return sum(parts, np.zeros(n))
+    coef = np.array([c for c, _ in terms], dtype=float)
+    logs = np.log([s for _, s in terms])
+    return np.exp(-np.outer(xs, logs)) @ (coef * logs**k) + 0.0
 
 
-def _fit_chords(terms, lo: float, hi: float, tol: float, lead: float = 0.0) -> np.ndarray:
+def _fit_chords(terms, lo: float, hi: float, tol: float) -> np.ndarray:
     """Certified chords of one set's objective on [lo, hi], as rows lo, hi, g(lo), g(hi).
 
     ``terms`` are the set's ``(c_ij, j - i)`` pairs.  A set that is optimal
@@ -229,36 +221,28 @@ def _fit_chords(terms, lo: float, hi: float, tol: float, lead: float = 0.0) -> n
     start in the cell; the last may run past it, since g'' only falls.  A
     line within tol of a convex g over width h needs h**2 * g'' / 16 <= tol,
     so these are about the fewest pieces any linear fit within tol can take.
-    ``lead`` is the part of ``tol`` that the caller spends elsewhere: the
-    widths take tol - lead in place of tol, but at least tol / 2, so they
-    are never narrower than those of chords through g within tol.
 
     Rounding: the slack, 2**-8 of ``tol``, covers a few ulps in g'' and the
     square root, and the few ulps of |g| by which the chord ends' values,
-    their lowering and a later evaluation of g are rounded, while tol is
-    above about 2**-40 * |g|.  Each width is also cut by 2**-50 * hi, two
-    ulps of ``hi``, the most by which rounding the chord ends p + i * h
-    stretches a chord.
+    their lowering and a later evaluation of g are rounded, while tol is at
+    least 2**-41 * |g| (``rho_decomposition``'s precondition).  Each width
+    is also cut by 2**-50 * hi, two ulps of ``hi``, the most by which
+    rounding the chord ends p + i * h stretches a chord.
 
     The last chord ends on ``hi``; an end within ``EPS_CMP`` of ``hi`` moves
     to the middle of the last two chords, which keeps both within one
     certified width when that is at least ``EPS_CMP``.  The values at the
-    chord ends are one ``_objective_at`` call, the doubles ``tad_objective``
-    gives.  ``ValueError``, before any chord is laid, when the width at
-    ``lo`` (the narrowest) is below max((hi - lo) / 2**40, 1e-12) and does
-    not span the region.
+    chord ends are one numpy ``_objective_at`` call, within a few ulps of
+    ``tad_objective``; lowered by delta, within a few ulps of
+    ``tad_objective`` - delta.
     """
     if not all(c > 0 for c, _ in terms):
         raise ValueError(f"a fitted set needs positive weights, got {[float(c) for c, _ in terms]}")
     starts = lo + (hi - lo) / _CELLS * np.arange(_CELLS)
-    bound = 16.0 * max(tol - lead, 0.5 * tol) * (1.0 - _SLACK)
+    bound = 16.0 * tol * (1.0 - _SLACK)
     margin = 2.0**-50 * hi
     widths = [min(math.sqrt(bound / d) - margin if d > 0 else math.inf, hi - lo)
-              for d in _curvature(terms, starts).tolist()]
-    floor = max((hi - lo) / 2**40, 1e-12)
-    if widths[0] < min(floor, hi - lo):
-        raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: the chord on "
-                         f"[{lo!r}, {min(lo + floor, hi)!r}] is still off by more than tol")
+              for d in _objective_at(terms, starts, 2).tolist()]
     p, laid = lo, []  # (first chord start, width, chord count) of each cell a chord starts in
     for end, h in zip(starts.tolist()[1:] + [hi], widths):
         if p < end:
@@ -276,22 +260,14 @@ def _fit_chords(terms, lo: float, hi: float, tol: float, lead: float = 0.0) -> n
     return np.stack([x[:-1], x[1:], g[:-1], g[1:]])
 
 
-def _curvature(terms, xs: np.ndarray) -> np.ndarray:
-    """g'' = sum c * ln(s)**2 * s**-x of one set's objective at every point of ``xs``."""
-    coef = np.array([c for c, _ in terms], dtype=float)
-    logs = np.log([s for _, s in terms])
-    return np.exp(-np.outer(xs, logs)) @ (coef * logs**2)
-
-
 def _chord_bound(terms, chords: np.ndarray) -> float:
     """Largest certified height of ``_fit_chords``' chords above g: max h**2 * g''(start) / 8.
 
     0.0 for a set with no span above 1 (g'' is 0) and at most
-    2 * tol * (1 - _SLACK), up to rounding, for chords fitted at ``tol``
-    (with ``lead``, at the tol that their widths took in its place).
+    2 * tol * (1 - _SLACK), up to rounding, for chords fitted at ``tol``.
     """
     lo, hi = chords[0], chords[1]
-    return float(np.max((hi - lo) ** 2 * _curvature(terms, lo))) / 8.0
+    return float(np.max((hi - lo) ** 2 * _objective_at(terms, lo, 2))) / 8.0
 
 
 class TadDecomposition(NamedTuple):
@@ -309,32 +285,38 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     interval carries the optimal sets at its ends.  Where they agree, one mid
     probe guards against a third set winning strictly inside.  Where they
     differ, the roots of their objective difference (an exponential sum) are
-    isolated, all of them, to ``max(tol * 1e-3, 1e-13)``, the x-precision
-    that keeps values within ``tol`` beside a breakpoint; the coefficients are
-    summed per span first, so two sets tied at every rho have no root and
-    the sweep does not chase their rounding.  The optimum is probed at each
-    interior root and the sub-intervals are searched in turn.  With no
-    interior root the sets cross at an end, and the set higher at the
-    midpoint holds the interval.  A set change is placed only within
-    ``res``, so beside it the optimum can beat the region's set by up to
-    their gap at the region's end; ``lead`` is the largest such gap.  Once
-    the sweep is done, each region's objective is approximated by chords
-    that lie between 0 and 2 * (tol - lead) * (1 - 2**-8) above it (but
-    never narrower than for tol / 2 in place of tol - lead), each as wide as
-    the curvature bound at its start allows (``_fit_chords``: widths
-    certified per 64th of the region, the chord ends one array pass).  Every
-    chord end is then lowered by one constant delta, half the largest
-    certified height h**2 * g'' / 8 among all the chords (``_chord_bound``)
-    but at most (tol - lead) * (1 - 2**-8), so each piece is within
-    tol * (1 - 2**-8) of its set's objective and, while lead is below that
-    too, within ``tol`` of the optimum beside the set changes.  The end
-    values sit delta below ``tad_objective``'s, neighbouring pieces still
-    share their end values, and delta is 0 when no fitted set has a span
-    above 1.  ``ValueError`` when ``tol`` needs chords narrower than 2**-40
-    of the region (or than 1e-12), naming a chord at that floor.
+    isolated, all of them, at adjacent doubles (``exp_sum_roots`` at the
+    smallest subnormal tolerance); the coefficients are summed per span
+    first, so two sets tied at every rho have no root and the sweep does not
+    chase their rounding.  The optimum is probed at each root inside the
+    interval and the sub-intervals are searched in turn.  With none inside
+    (a root that rounds onto an end is dropped) the sets cross at an end,
+    and the set higher at the midpoint holds the interval.  Once the sweep
+    is done, each region's objective is approximated by chords that lie
+    between 0 and 2 * tol * (1 - 2**-8) above it, each as wide as the
+    curvature bound at its start allows (``_fit_chords``: widths certified
+    per 64th of the region, the chord ends one array pass).  Every chord end
+    is then lowered by one constant delta, half the largest certified height
+    h**2 * g'' / 8 among all the chords (``_chord_bound``), so each piece is
+    within tol * (1 - 2**-8) of its set's objective.  The end values sit
+    delta below ``_objective_at``'s, within a few ulps of
+    ``tad_objective``'s, neighbouring pieces still share their end values,
+    and delta is 0 when no fitted set has a span above 1.
     ``cap_warning`` is always False.
-    ``ValueError`` when (n - 1) ** rho_hi leaves the float range (every
-    weight is then a finite double on the whole domain).
+
+    ``ValueError`` when tol < 2**-41 * V(0), V(0) the optimal objective at
+    rho = 0.  Fitted sets have positive weights, so their objectives fall in
+    rho and V(0) is the largest any of them takes on the domain.  Above that
+    bound the 2**-8 * tol slack of the chord widths covers both:
+    - rounding: a few ulps of an objective at most V(0);
+    - placement: beside a set change at x between sets A and B, h = g_A - g_B
+      has its root within one spacing of x, and rho * ln(s) * s**-rho <= 1/e
+      gives |h'(x)| * x <= 2 * V(0) / e, so the optimum beats the held set by
+      at most 0.74 * 2**-52 * V(0) <= 0.74 * 2**-11 * tol.
+    The bound also keeps every chord at least about 2.8e-6 / ln(n - 1)
+    wide, since g'' <= ln(n - 1)**2 * g.  ``ValueError`` when
+    (n - 1) ** rho_hi leaves the float range (every weight is then a finite
+    double on the whole domain).
     """
     if not (math.isfinite(rho_hi) and rho_hi > 0):
         raise ValueError(f"rho_hi must be positive and finite, got {rho_hi!r}")
@@ -342,12 +324,16 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     w.check_rho(rho_hi)
 
-    regions: list[tuple[float, float, TadSet]] = []  # (lo, hi, the set that holds it)
-    lead = 0.0  # the most by which the optimum at a region's end beats the region's set
-    res = max(tol * 1e-3, 1e-13)
-
     rho_hi = float(rho_hi)
-    todo = [(0.0, rho_hi) + tuple(tad_optimize(w, x)[0] for x in (0.0, rho_hi))]
+    (t_lo, v_lo), (t_hi, _) = (tad_optimize(w, x) for x in (0.0, rho_hi))
+    v_lo = float(v_lo)
+    if tol < 2.0**-41 * v_lo:
+        raise ValueError(f"tol={tol!r} is below what the chord fit can resolve: it needs "
+                         f"tol >= 2**-41 * V(0) = {2.0**-41 * v_lo!r}, where V(0) = {v_lo!r} "
+                         "is the optimal objective at rho = 0")
+
+    regions: list[tuple[float, float, TadSet]] = []  # (lo, hi, the set that holds it)
+    todo = [(0.0, rho_hi, t_lo, t_hi)]
     while todo:
         a, b, t_a, t_b = todo.pop()
         mid = 0.5 * (a + b)
@@ -362,7 +348,7 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
             in_a, in_b = set(t_a.intervals), set(t_b.intervals)
             terms = [(w.c[i][j], float(j - i)) for i, j in in_a - in_b]
             terms += [(-w.c[i][j], float(j - i)) for i, j in in_b - in_a]
-            roots = [r for r in exp_sum_roots(terms, a, b, res) if a + res < r < b - res]
+            roots = [r for r in exp_sum_roots(terms, a, b, math.ulp(0.0)) if a < r < b]
             if roots:
                 edges = [a] + roots + [b]
                 opts = [t_a] + [tad_optimize(w, x)[0] for x in roots] + [t_b]
@@ -371,10 +357,6 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
             # the sets cross at an end: the one higher at the midpoint holds it
             if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
                 held = t_b
-            # the crossing is within res of an end, where the other set is optimal: beside
-            # that end it beats the held set by at most their gap there
-            lead = max(lead, *(tad_objective(w, t, x) - tad_objective(w, held, x)
-                               for t, x in ((t_a, a), (t_b, b))))
         regions.append((a, b, held))
 
     tag_of: dict[TadSet, int] = {}  # each fitted set -> its tag, in the order first fitted
@@ -382,16 +364,14 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     height = 0.0  # the largest certified height of a chord above its set's objective
     for a, b, held in regions:
         own = [(w.c[i][j], float(j - i)) for i, j in held.intervals]
-        chords = _fit_chords(own, a, b, tol, lead)
+        chords = _fit_chords(own, a, b, tol)
         height = max(height, _chord_bound(own, chords))
         fits.append((chords, tag_of.setdefault(held, len(tag_of))))
 
     # the sweep takes regions left to right and each fit runs left to right; lowered
     # by half the largest height, every chord is within that half of its objective
-    # (with lead above tol / 2, by what the set changes leave of tol)
     lo, hi, vlo, vhi = np.concatenate([chords for chords, _ in fits], axis=1)
-    delta = min(0.5 * height, max(tol - lead, 0.0) * (1.0 - _SLACK))
-    vlo, vhi = vlo - delta, vhi - delta
+    vlo, vhi = vlo - 0.5 * height, vhi - 0.5 * height
     tags = np.repeat([tag for _, tag in fits], [chords.shape[1] for chords, _ in fits])
     slope = (vhi - vlo) / (hi - lo)
     fn = PiecewiseFunction1D.from_arrays(0.0, rho_hi, lo[1:], slope, vlo - slope * lo, tags.tolist())

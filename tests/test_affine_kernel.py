@@ -13,10 +13,10 @@ from gotoh_reference import affine_align as reference_align
 from algotune.cli import dispatch
 from algotune.seqalign import (
     MAX_LEN,
-    TRACEBACK_BUDGET,
+    SWEEP_BUDGET,
     AffineParams,
     Sequence,
-    _trace_bytes,
+    _sweep_bytes,
     affine_align,
     align_batch,
     indel_breakpoints,
@@ -118,7 +118,7 @@ def test_traced_memory_at_600x600():
 
 def test_max_len_follows_the_traceback_budget():
     assert MAX_LEN == 10_000
-    assert _trace_bytes(MAX_LEN, MAX_LEN) <= TRACEBACK_BUDGET < _trace_bytes(MAX_LEN + 1, MAX_LEN + 1)
+    assert _sweep_bytes(MAX_LEN, MAX_LEN) <= SWEEP_BUDGET < _sweep_bytes(MAX_LEN + 1, MAX_LEN + 1)
 
 
 def test_over_max_len_rejected_before_allocation():

@@ -283,6 +283,18 @@ def test_greedy_knapsack_rejects_non_finite_inputs(tmp_path, capsys):
             assert "values, sizes and capacity must be finite" in err
 
 
+def test_greedy_knapsack_csv_errors_name_their_line(tmp_path, capsys):
+    # these used to print Python's unpacking and conversion messages, with no line
+    for row in ("3,4,5", "x,4", "3"):
+        items = tmp_path / "items.csv"
+        items.write_text(f"10,10\n{row}\n")
+        code, out, err = run_cli(
+            capsys, "greedy", "knapsack", "--input", str(items), "--capacity", "3"
+        )
+        assert code == 2 and out == "", row
+        assert "line 2" in err and repr(row) in err, err
+
+
 def test_greedy_rejects_ratios_outside_the_float_range(tmp_path, capsys):
     # the swap points take logs of size, value and weight ratios: 1e200 / 1e-200 is inf,
     # and 1e-200 / 1e200 is 0, which used to end in "math domain error"

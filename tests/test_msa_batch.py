@@ -115,8 +115,8 @@ def test_level_split_into_budget_chunks_gives_the_same_alignment(monkeypatch):
         return sweep(pairs, params)
 
     monkeypatch.setattr(seqalign, "_sweep", counted)
-    # room for two 24 x 24 tracebacks per chunk
-    monkeypatch.setattr(seqalign, "TRACEBACK_BUDGET", 2 * seqalign._trace_bytes(24, 24))
+    # room for two 24 x 24 sweeps per chunk
+    monkeypatch.setattr(seqalign, "SWEEP_BUDGET", 2 * seqalign._sweep_bytes(24, 24))
     assert progressive_align(seqs, tree, p).rows == want.rows
     assert sum(chunks) == 15
     assert max(chunks) <= 2 and len(chunks) >= 8  # the 8 leaf pairs alone take 4 sweeps

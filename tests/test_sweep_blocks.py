@@ -1,9 +1,11 @@
 """The cell-major Gotoh sweep across its blocks of diagonals, and the glue
 around it: ``align_batch`` against the frozen row-by-row oracle at block
 edges and on lopsided shapes, the window-cell traceback and the chunk plan
-that counts it, the one-pass node consensus of ``progressive_align`` against
+that counts it with the block scratch, the one-pass node consensus of ``progressive_align`` against
 the frozen ``consensus``, and the ``align_batch`` calls of
 ``progressive_align`` and ``lb_verify``."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from algotune.seqalign import (
     AffineParams,
     GuideTree,
     Sequence,
+    _sweep_bytes,
     _trace_bytes,
     align_batch,
     gen_lb_sequences,
@@ -164,10 +167,11 @@ def test_trace_bytes_is_what_the_sweep_allocates(monkeypatch):
 
 
 def test_skinny_batch_is_cut_by_window_bytes(monkeypatch):
-    per_pair = _trace_bytes(600, 1)
-    assert per_pair > 60 * 600  # 64 window cells per diagonal, not one table cell
-    budget = 600 * 600  # room for 600 such pairs counted by n * m, for 9 counted by window
-    monkeypatch.setattr(seqalign, "TRACEBACK_BUDGET", budget)
+    assert _trace_bytes(600, 1) > 60 * 600  # 64 window cells per diagonal, not one table cell
+    per_pair = _sweep_bytes(600, 1)
+    # room for 6,000 such pairs counted by n * m, for 96 by traceback, for 10 by sweep bytes
+    budget = 10 * 600 * 600
+    monkeypatch.setattr(seqalign, "SWEEP_BUDGET", budget)
     chunks = []
 
     def counted(pairs, params):  # the plan is under test here, not the sweep
@@ -179,6 +183,35 @@ def test_skinny_batch_is_cut_by_window_bytes(monkeypatch):
     assert sum(chunks) == 2000
     assert max(chunks) * per_pair <= budget
     assert chunks[:-1] == [budget // per_pair] * (len(chunks) - 1)
+
+
+def test_skinny_chunks_peak_within_the_budget(monkeypatch):
+    # a block's scratch is up to 29 bytes per window cell: pairs of 64 x 1 hold about 20
+    # times their traceback in it, so a plan on the traceback alone put these 60 pairs
+    # in one chunk at about 3 times the budget
+    rng = np.random.default_rng(253)
+    shapes = [(64, 1)] * 40 + [(600, 1), (1, 600), (63, 2), (2, 63)] * 5
+    pairs = [(Sequence(rng.choice(list("ACGT"), size=n)), Sequence(rng.choice(list("ACGT"), size=m)))
+             for n, m in shapes]
+    params = edge_params(rng, len(pairs), tie_heavy=True)
+    want = [align_batch([pair], [p])[0] for pair, p in zip(pairs, params)]
+    budget = 8 * _sweep_bytes(64, 1)
+    monkeypatch.setattr(seqalign, "SWEEP_BUDGET", budget)
+    peaks = []
+    sweep = seqalign._sweep
+
+    def traced(pairs, params):
+        tracemalloc.start()
+        try:
+            out = sweep(pairs, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(seqalign, "_sweep", traced)
+    assert align_batch(pairs, params) == want
+    assert len(peaks) > 5 and max(peaks) <= budget, (len(peaks), max(peaks), budget)
 
 
 def test_chunks_keep_padded_scores_in_the_float_range(monkeypatch):

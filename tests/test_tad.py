@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from algotune.learn import erm
 from algotune.tad import (
     ContactMatrix,
     TadSet,
@@ -260,3 +261,32 @@ def test_planted_interior_winner_is_found():
     assert TadSet([(2, 4)]) in dec.tad_sets
     for x in np.linspace(0.29, 0.36, 701).tolist():
         assert abs(dec.fn.value(x) - tad_optimize(w, x)[1]) <= 1e-6
+
+
+def planted_domains(gen, n):
+    """Contacts U(0, 0.3), plus U(1, 2) on domain blocks 4 to 8 positions wide."""
+    m = gen.uniform(0.0, 0.3, size=(n, n))
+    edges = [0]
+    while n - edges[-1] > 8:
+        edges.append(edges[-1] + int(gen.integers(4, 9)))
+    edges.append(n)
+    for lo, hi in zip(edges, edges[1:]):
+        m[lo:hi, lo:hi] += gen.uniform(1.0, 2.0)
+    m = np.triu(m, 1)
+    return ContactMatrix(m + m.T)
+
+
+def test_erm_over_tad_duals_matches_a_dense_grid():
+    # every dual is within tol of its optimal objective, so the ERM of their mean is
+    # within tol of the best mean tad_optimize value on any grid, and of its own
+    gen = np.random.default_rng(2604)
+    ws = [precompute_cij(planted_domains(gen, n)) for n in (14, 16, 18, 20)]
+    tol = 1e-6
+    param, value = erm([rho_decomposition(w, 2.0, tol).fn for w in ws])
+
+    def mean_optimum(x):
+        return math.fsum(tad_optimize(w, x)[1] for w in ws) / len(ws)
+
+    best = max(mean_optimum(x) for x in np.linspace(0.0, 2.0, 2001).tolist())
+    assert value >= best - tol
+    assert abs(mean_optimum(param) - value) <= tol
