@@ -18,7 +18,8 @@ parameters in one batched run pays its fixed per-run cost once per round.
 
 A ``PiecewiseFunction1D`` is stored as arrays: piece starts, slopes and
 intercepts, plus its tags as one tuple (``None`` when no piece is tagged).
-``breakpoints`` and ``pieces`` are read-only list views of them.  One array
+``breakpoints`` and ``pieces`` build a new list from them on each read, so
+readers that need no list (evaluation, JSON, ERM) use the arrays.  One array
 kernel, ``_canonical``, puts functions in canonical form: the constructor
 runs it on one function and ``PiecewiseBatch.canonical`` on many at once; it
 gathers only when it drops a piece.  The search kernels, ``tad`` and the JSON
@@ -73,56 +74,6 @@ class Line1D:
 
     def value(self, x: float) -> float:
         return self.slope * x + self.intercept
-
-
-class _ListView(Sequence):
-    """Read-only list view of a function's arrays; equal to the list it shows."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _ListView)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return repr(list(self))
-
-
-class _Breakpoints(_ListView):
-    __slots__ = ()
-
-    def __len__(self):
-        return len(self._fn._starts) - 1
-
-    def __getitem__(self, i):
-        return self._fn._starts[1:][i].tolist()
-
-    def __iter__(self):
-        return iter(self._fn._starts[1:].tolist())
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._fn._starts[1:], dtype=dtype)
-
-
-class _Pieces(_ListView):
-    __slots__ = ()
-
-    def __len__(self):
-        return len(self._fn._slopes)
-
-    def __getitem__(self, i):
-        fn = self._fn
-        if isinstance(i, slice):
-            return list(zip(fn._slopes[i].tolist(), fn._icepts[i].tolist(), fn._tag_run(i)))
-        return fn._slopes[i].item(), fn._icepts[i].item(), None if fn._tags is None else fn._tags[i]
-
-    def __iter__(self):
-        fn = self._fn
-        return zip(fn._slopes.tolist(), fn._icepts.tolist(), fn._tag_run(slice(None)))
 
 
 def _canonical(lo, hi, starts, ends, slopes, icepts, tags=None):
@@ -187,8 +138,9 @@ class PiecewiseFunction1D:
     caller-owned tag, which may be ``None``.  The function keeps three float
     arrays, the piece starts (``lo``, then the breakpoints), the slopes and the
     intercepts, and its tags as one tuple, or ``None`` when no piece is tagged.
-    ``breakpoints`` and ``pieces`` are read-only list views of them:
-    ``pieces[i]`` is the ``(slope, intercept, tag)`` triple of piece ``i``.
+    ``breakpoints`` and ``pieces`` are new lists built from them on each read,
+    so changing one leaves the function as it was: ``pieces[i]`` is the
+    ``(slope, intercept, tag)`` triple of piece ``i``.
 
     The constructor takes breakpoints and such triples; ``from_arrays`` takes
     the columns.  Both canonicalize with the kernel ``PiecewiseBatch.canonical``
@@ -245,12 +197,12 @@ class PiecewiseFunction1D:
         self._tags = tags
 
     @property
-    def breakpoints(self) -> Sequence[float]:
-        return _Breakpoints(self)
+    def breakpoints(self) -> list[float]:
+        return self._starts[1:].tolist()
 
     @property
-    def pieces(self) -> Sequence[tuple]:
-        return _Pieces(self)
+    def pieces(self) -> list[tuple]:
+        return list(zip(self._slopes.tolist(), self._icepts.tolist(), self._tag_run(slice(None))))
 
     def _tag_run(self, part: slice):
         """The tags of ``part`` of the pieces; an endless run of ``None`` (for ``zip``) when untagged."""
@@ -468,42 +420,21 @@ class PiecewiseBatch:
         ``math.fsum`` of the first pieces and add each event's ``new - old``
         coefficient in that order (``np.add.accumulate`` adds sequentially);
         the sums after the last event at each position, divided by the number
-        of functions, are the pieces.  Event-sized arrays are freed as soon as
-        they are used, or filled in place.
+        of functions, are the pieces.
         """
         lo = self.lo
-        heads = np.flatnonzero(self.starts == lo)
-        n = len(heads)
-        event = np.flatnonzero(self.starts != lo)  # pieces that begin at a breakpoint
+        head = self.starts == lo
+        event = np.flatnonzero(~head)  # pieces that begin at a breakpoint
+        event = event[np.argsort(self.starts[event], kind="stable")]
         at = self.starts[event]
-        order = np.argsort(at, kind="stable")
-        event, at = event[order], at[order]
-        del order
-        m = len(event)
-        prev, old = event - 1, np.empty(m)
-        sums = []
-        for coef in (self.slopes, self.intercepts):
-            acc = np.empty(m + 1)
-            acc[0] = math.fsum(coef[heads].tolist())
-            np.take(coef, event, out=acc[1:])
-            np.subtract(acc[1:], np.take(coef, prev, out=old), out=acc[1:])
-            sums.append(np.add.accumulate(acc, out=acc))
-        del event, prev, old
-        new = np.empty(m, dtype=bool)
-        new[:1] = True
-        np.not_equal(at[1:], at[:-1], out=new[1:])
-        done = np.ones(m, dtype=bool)  # the last event at its position
-        done[:-1] = new[1:]
-        take = np.flatnonzero(done)
-        take += 1
-        starts = np.concatenate(([lo], at[new]))
-        del at, new, done
+        starts = np.concatenate(([lo], at[:1], at[1:][at[1:] != at[:-1]]))  # each position once
+        # the events at or before each start: the running sum after its last event
+        cut = np.searchsorted(at, starts, side="right")
+        n = np.count_nonzero(head)
         coefs = []
-        for acc in sums:
-            col = np.concatenate((acc[:1], acc[take]))
-            col /= n
-            coefs.append(col)
-        del sums
+        for coef in (self.slopes, self.intercepts):
+            steps = np.concatenate(([math.fsum(coef[head].tolist())], coef[event] - coef[event - 1]))
+            coefs.append(np.add.accumulate(steps)[cut] / n)
         return PiecewiseBatch(lo, self.hi, starts, *coefs).canonical()
 
     def argmax(self, members: "PiecewiseBatch | None" = None) -> ArgmaxResult:
@@ -592,12 +523,15 @@ def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
 
 
 def check_power(bases: Sequence[float], rho: float, name: str) -> None:
-    """Reject rho where some base ** rho is not a positive finite float.
+    """Reject a non-finite rho, and rho where some base ** rho is not a positive finite float.
 
     Families that discount by a power of a size, degree or span call this
     before a solve or a decomposition.  base ** rho is monotone in base and in
-    rho, so the extreme bases at the largest rho decide.
+    rho, so the extreme bases at the largest rho decide.  rho itself is
+    checked first, since 1.0 ** rho is 1.0 even for a NaN or infinite rho.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"rho={rho!r} must be finite")
     for base in bases:
         try:
             ok = 0.0 < base ** rho < math.inf

@@ -168,13 +168,15 @@ def _trace_bytes(n: int, m: int) -> int:
 
 
 #: bytes per window cell of a sweep's largest block: its substitution scores (8), its
-#: flags (6) and the comparison they come from (1), while the previous block's scores
-#: and flags (14) are still held
-_BLOCK_BYTES = 29
+#: flags (6) and the comparison they come from (1); the previous block's are freed
+#: first.  Traced on chunks of one shape that fill SWEEP_BUDGET, a sweep takes at most
+#: 13.7 bytes per such cell beyond its traceback and rows, and a chunk of eight 64 x 1
+#: pairs 15.4
+_BLOCK_BYTES = 16
 #: bytes per letter of a pair held for the whole sweep: the score ring and candidate
-#: rows (27 floats per cell of the first sequence), letter codes, end gaps and the
-#: aligned rows
-_LINE_BYTES = 320
+#: rows (27 floats per cell of the first sequence), letter codes, end gaps, penalties
+#: and the aligned rows.  Traced the same way, 10,000 x 1 pairs take 331.5
+_LINE_BYTES = 336
 
 
 def _sweep_bytes(n: int, m: int) -> int:
@@ -185,11 +187,11 @@ def _sweep_bytes(n: int, m: int) -> int:
 
 # The traceback keeps one uint8 per cell of each diagonal's block window,
 # about n * m bytes for a square pair and up to 64 * n for a skinny one, and
-# each block of 64 diagonals up to 29 bytes of scratch per window cell;
+# each block of 64 diagonals up to 16 bytes of scratch per window cell;
 # scores live on three anti-diagonals, O(n + m).  The budget is what the
 # largest pair takes, so one pair always fits it.
 MAX_LEN = 10_000
-SWEEP_BUDGET = _sweep_bytes(MAX_LEN, MAX_LEN)  # bytes, 125,589,057
+SWEEP_BUDGET = _sweep_bytes(MAX_LEN, MAX_LEN)  # bytes, 117,589,073
 
 
 def affine_align(
@@ -234,7 +236,7 @@ def align_batch(
     longest N and M, and a pair too large on its own forms its own chunk.
     Each chunk is one ``_sweep``.  The traceback and the scratch count
     window cells, not table cells: a skinny N x 1 pair takes about
-    64 * N bytes of traceback, not N, and up to 29 times as much block
+    64 * N bytes of traceback, not N, and up to 16 times as much block
     scratch.  The chunks are planned before any table is allocated.
     """
     if len(params) != len(pairs):
@@ -406,6 +408,7 @@ def _sweep(
                   out=trace[off:off + size].reshape(rows, width))
         base += range(off - c0 * B, off - c0 * B + size, width)
         off += size
+        del sub, below  # this block's scratch goes before the next block's is built
 
     cells = memoryview(trace)
     out = []

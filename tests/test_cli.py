@@ -265,6 +265,28 @@ def test_greedy_rho_out_of_float_range(tmp_path, capsys):
     assert code == 0 and json.loads(out)["items"] == [1]
 
 
+@pytest.mark.parametrize("argv", [
+    # unit sizes, an edgeless graph and a 2 x 2 matrix: every base is 1, and 1.0 ** rho
+    # is 1.0 for a NaN or infinite rho, so these ran and printed a result
+    ("greedy", "knapsack", "--input", "unit.csv", "--capacity", "1", "--rho"),
+    ("greedy", "knapsack", "--input", "unit.csv", "--capacity", "1", "--decompose", "--rho-max"),
+    ("greedy", "mwis", "--input", "edgeless.txt", "--rho"),
+    ("greedy", "mwis", "--input", "edgeless.txt", "--decompose", "--rho-max"),
+    ("tad", "run", "--matrix", "m2.csv", "--rho"),
+])
+def test_non_finite_rho_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "unit.csv").write_text("3,1\n2,1\n")
+    (tmp_path / "edgeless.txt").write_text("w 0 1.0\nw 1 2.0\n")
+    (tmp_path / "m2.csv").write_text("0,1\n1,0\n")
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in argv]
+    for value in ("inf", "nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, value)
+        assert code == 2 and out == "", (argv, value)
+        assert err.startswith("error:") and f"rho={value} must be finite" in err
+
+
 def test_greedy_knapsack_rejects_non_finite_inputs(tmp_path, capsys):
     # a nan capacity used to pack nothing, and an inf value printed "Infinity", not JSON
     items = tmp_path / "items.csv"

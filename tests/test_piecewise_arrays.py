@@ -98,7 +98,7 @@ def test_constructor_rejects_a_wrong_piece_count():
         PiecewiseFunction1D.from_arrays(0.0, 1.0, [0.5], [0.0, 0.0], [1.0, 2.0], [None])
 
 
-def test_list_views_read_like_lists():
+def test_breakpoints_and_pieces_are_lists_apart_from_the_function():
     fn = PiecewiseFunction1D(0.0, 3.0, [1.0, 2.0], [(0.0, 1.0, 7), (1.0, 0.0, None), (0.0, 2.0, 7)])
     assert len(fn.pieces) == 3 and len(fn.breakpoints) == 2
     assert fn.pieces[-1] == (0.0, 2.0, 7) and fn.pieces[1:] == [(1.0, 0.0, None), (0.0, 2.0, 7)]
@@ -106,8 +106,9 @@ def test_list_views_read_like_lists():
     assert [1.0, 2.0] == fn.breakpoints != [1.0]
     assert repr(fn.breakpoints) == "[1.0, 2.0]"
     assert np.asarray(fn.breakpoints).tolist() == [1.0, 2.0]
-    with pytest.raises(TypeError):
-        fn.pieces[0] = (0.0, 0.0, None)
+    copy = PiecewiseFunction1D(0.0, 3.0, fn.breakpoints, fn.pieces)
+    fn.pieces[0] = (0.0, 0.0, None)
+    assert fn == copy
     with pytest.raises(IndexError):
         fn.pieces[3]
     untagged = PiecewiseFunction1D(0.0, 1.0, [0.5], [(0.0, 1.0, None), (0.0, 2.0, None)])
