@@ -1,12 +1,15 @@
-"""Byte-for-byte CLI output of the alignment, folding and clustering commands on seeded inputs.
+"""Byte-for-byte CLI output of the alignment, folding, clustering, TAD and greedy commands on seeded inputs.
 
 ``tests/data/cli_golden.json`` holds, per case, the exact text that
 ``align run``/``decompose``, ``fold run``/``decompose`` and ``msa run`` wrote
 (``--format json`` and ``--format csv`` where the command has it) when the
-sweeps still solved one parameter per DP run, and that ``cluster run`` (C1, C2,
+sweeps still solved one parameter per DP run, that ``cluster run`` (C1, C2,
 C3) and ``cluster decompose`` wrote when agglomeration still gathered every
-pair's distances at every merge.  Any change to breakpoints, tags, tie-breaks,
-merge orders or float formatting shows up here as a diff.
+pair's distances at every merge, and that ``tad decompose`` (with its
+``tad_sets``), ``greedy knapsack --decompose`` and ``greedy mwis --decompose``
+(untagged pieces) wrote when every piece still left the program as a dict.
+Any change to breakpoints, tags, tie-breaks, merge orders or float formatting
+shows up here as a diff.
 
 To record the file again (only for an intended output change)::
 
@@ -144,6 +147,40 @@ def write_inputs(tmp: Path) -> dict:
     for fmt in ("json", "csv"):
         cases[f"cluster_decompose_table_{fmt}"] = [
             "cluster", "decompose", "--input", dist, "--k", "3", "--truth", truth, "--format", fmt]
+
+    drng = random.Random(2027)  # its own stream again, for the TAD and greedy decompositions
+    for i, (n, rho_max, tolerance) in enumerate([(4, "1", "1e-6"), (8, "2", "1e-3"), (11, "4", "1e-3")]):
+        # background contacts plus boosted diagonal blocks: several TAD sets compete
+        m = [[0.0] * n for _ in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            m[a][b] = m[b][a] = drng.uniform(0.0, 0.5)
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + drng.randint(2, 5))
+            boost = drng.uniform(0.5, 2.0)
+            for a, b in itertools.combinations(range(lo, hi), 2):
+                m[a][b] += boost
+                m[b][a] = m[a][b]
+            lo = hi
+        matrix = put(f"tad{i}.csv", "".join(",".join(map(repr, row)) + "\n" for row in m))
+        for fmt in ("json", "csv"):
+            # named to sort before the file's last key, so the recorded lines stay as they are
+            cases[f"decompose_tad_{i}_{fmt}"] = [
+                "tad", "decompose", "--matrix", matrix, "--rho-max", rho_max, "--tolerance", tolerance,
+                "--format", fmt]
+    for i, n in enumerate([1, 6, 13]):
+        items = [(round(drng.uniform(1, 10), 3), round(drng.uniform(1, 10), 3)) for _ in range(n)]
+        capacity = repr(round(sum(s for _, s in items) / 3, 3))
+        knapsack = put(f"knapsack{i}.csv", "".join(f"{v},{s}\n" for v, s in items))
+        edges = [f"{u} {v}\n" for u, v in itertools.combinations(range(n), 2) if drng.random() < 0.3]
+        weights = [f"w {v} {round(drng.uniform(1, 10), 3)}\n" for v in range(n)]
+        graph = put(f"graph{i}.txt", "".join(edges + weights))
+        for fmt in ("json", "csv"):
+            cases[f"greedy_knapsack_decompose_{i}_{fmt}"] = [
+                "greedy", "knapsack", "--input", knapsack, "--capacity", capacity, "--decompose",
+                "--rho-max", "3", "--format", fmt]
+            cases[f"greedy_mwis_decompose_{i}_{fmt}"] = [
+                "greedy", "mwis", "--input", graph, "--decompose", "--rho-max", "3", "--format", fmt]
     return cases
 
 
