@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import bounds, cluster, greedy, learn, mechanisms, rnafold, seqalign, tad
-from .piecewise import PiecewiseFunction1D
 from .seqalign import AffineParams
 
 
@@ -40,17 +40,9 @@ def _emit(text: str | Iterable[str], out: str | None):
         sys.stdout.writelines(chunks)
 
 
-def _pf_payload(fn: PiecewiseFunction1D, fmt: str, extra: dict | None = None) -> Iterator[str]:
-    """``fn`` as JSON (with ``extra``'s keys), a chunk at a time, or as a CSV piece table."""
-    if fmt == "json":
-        yield from fn.json_chunks(extra)
-        yield "\n"
-        return
-    edges = [fn.lo, *fn.breakpoints, fn.hi]
-    lines = ["piece_lo,piece_hi,slope,intercept,tag\n"]
-    for k, (s, c, t) in enumerate(fn.pieces):
-        lines.append(f"{_f9(edges[k])},{_f9(edges[k + 1])},{_f9(s)},{_f9(c)},{'' if t is None else t}\n")
-    yield "".join(lines)
+def _emit_fn(fn, fmt: str, out: str | None, extra: dict | None = None):
+    """Write a piecewise function as JSON (with ``extra``'s keys) and a newline, or as CSV."""
+    _emit(itertools.chain(fn.json_chunks(extra), "\n") if fmt == "json" else fn.csv_chunks(), out)
 
 
 def _read(path: str) -> str:
@@ -127,7 +119,7 @@ def _cmd_align(args) -> int:
         fn = seqalign.utility_breakpoints(seqs[0], seqs[1], ref, args.rho_max)
     else:
         fn = seqalign.indel_breakpoints(seqs[0], seqs[1], args.rho_max)
-    _emit(_pf_payload(fn, args.format), args.out)
+    _emit_fn(fn, args.format, args.out)
     return 0
 
 
@@ -167,11 +159,10 @@ def _cmd_fold(args) -> int:
         fn = rnafold.utility_breakpoints(s, m, truth)
     else:
         fn = rnafold.rho_breakpoints(s, m)
-    cap = len(s) // 2 + 1
-    extra = {"piece_count": len(fn.pieces), "piece_cap": cap}
-    _emit(_pf_payload(fn, args.format, extra), args.out)
+    count, cap = len(fn.breakpoints) + 1, len(s) // 2 + 1
+    _emit_fn(fn, args.format, args.out, {"piece_count": count, "piece_cap": cap})
     if args.format == "csv":
-        print(f"pieces={len(fn.pieces)} cap={cap}", file=sys.stderr)
+        print(f"pieces={count} cap={cap}", file=sys.stderr)
     return 0
 
 
@@ -191,7 +182,7 @@ def _cmd_tad(args) -> int:
         return 0
     dec = tad.rho_decomposition(w, args.rho_max, args.tolerance)
     extra = {"tad_sets": [[list(iv) for iv in t.intervals] for t in dec.tad_sets]}
-    _emit(_pf_payload(dec.fn, args.format, extra), args.out)
+    _emit_fn(dec.fn, args.format, args.out, extra)
     return 0
 
 
@@ -206,8 +197,7 @@ def _cmd_greedy(args) -> int:
     if args.problem == "knapsack":
         inst = greedy.KnapsackInstance.from_csv(_read(args.input), args.capacity)
         if args.decompose:
-            fn = greedy.knapsack_breakpoints(inst, args.rho_max)
-            _emit(_pf_payload(fn, fmt), args.out)
+            _emit_fn(greedy.knapsack_breakpoints(inst, args.rho_max), fmt, args.out)
         else:
             items, total = greedy.knapsack_greedy(inst, args.rho)
             _emit(
@@ -217,8 +207,7 @@ def _cmd_greedy(args) -> int:
     else:
         g = greedy.WeightedGraph.from_text(_read(args.input))
         if args.decompose:
-            fn = greedy.mwis_breakpoints(g, args.rho_max)
-            _emit(_pf_payload(fn, fmt), args.out)
+            _emit_fn(greedy.mwis_breakpoints(g, args.rho_max), fmt, args.out)
         else:
             verts, total = greedy.mwis_greedy(g, args.rho)
             _emit(
@@ -245,7 +234,7 @@ def _cmd_cluster(args) -> int:
     if len(truth) != inst.n:
         raise ValueError(f"truth has {len(truth)} labels for {inst.n} points")
     fn = cluster.c2_breakpoints(inst, cluster.pair_counting_utility(inst, truth, args.k))
-    _emit(_pf_payload(fn, args.format), args.out)
+    _emit_fn(fn, args.format, args.out)
     return 0
 
 

@@ -210,16 +210,15 @@ class _NamOverfitFamily:
         self.delta = cfg.delta
         self.seed = cfg.seed
         pairs = p.get("pairs")
-        if pairs is None:
+        if pairs is None:  # built here, so only a config's own pairs are checked
             pairs = self._synthetic_pairs(
                 _parse(int, p.get("n_group1", 870), "params.n_group1", "an integer"),
                 _parse(int, p.get("n_group2", 1677), "params.n_group2", "an integer"),
             )
-        a, b = build_nam_distribution(
-            _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] finite number pairs"),
-            n_profiles=self.n_profiles,
-            rng=np.random.default_rng([cfg.seed, 101]),
-        )
+        else:
+            pairs = _parse(_number_pairs, pairs, "params.pairs", "a list of [a, b] finite number pairs")
+        rng = np.random.default_rng([cfg.seed, 101])
+        a, b = build_nam_distribution(pairs, n_profiles=self.n_profiles, rng=rng)
         self.n_agents = 2 * self.n_profiles
         # welfare a[j] + b[j] at the alternative j that the weights pick (ties to 0):
         # a seen profile's weights follow its group-1 agent, an unseen one's its group-2 agent

@@ -19,13 +19,13 @@ parameters in one batched run pays its fixed per-run cost once per round.
 A ``PiecewiseFunction1D`` is stored as arrays: piece starts, slopes and
 intercepts, plus its tags as one tuple (``None`` when no piece is tagged).
 ``breakpoints`` and ``pieces`` build a new list from them on each read, so
-readers that need no list (evaluation, JSON, ERM) use the arrays.  One array
+readers that need no list (evaluation, text, ERM) use the arrays.  One array
 kernel, ``_canonical``, puts functions in canonical form: the constructor
 runs it on one function and ``PiecewiseBatch.canonical`` on many at once; it
 gathers only when it drops a piece.  The search kernels, ``tad`` and the JSON
 reader hand their columns straight to ``PiecewiseFunction1D.from_arrays``,
-and ``json_chunks`` writes a function a few thousand pieces at a time, so no
-layer keeps a Python object per piece.
+and ``json_chunks`` and ``csv_chunks`` write its text a few thousand pieces
+at a time, so no layer keeps, nor writer makes, a Python object per piece.
 
 ERM runs on arrays: ``PiecewiseBatch`` holds many functions on one domain as
 a struct of arrays, and its ``mean`` and ``argmax`` are one numpy kernel (a
@@ -56,7 +56,7 @@ EPS_CMP = 1e-9
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-#: Pieces per string of ``PiecewiseFunction1D.json_chunks``.
+#: Pieces per string of ``PiecewiseFunction1D.json_chunks`` and ``csv_chunks``.
 _JSON_CHUNK = 4096
 
 
@@ -202,11 +202,7 @@ class PiecewiseFunction1D:
 
     @property
     def pieces(self) -> list[tuple]:
-        return list(zip(self._slopes.tolist(), self._icepts.tolist(), self._tag_run(slice(None))))
-
-    def _tag_run(self, part: slice):
-        """The tags of ``part`` of the pieces; an endless run of ``None`` (for ``zip``) when untagged."""
-        return repeat(None) if self._tags is None else self._tags[part]
+        return list(zip(self._slopes.tolist(), self._icepts.tolist(), self._tags or repeat(None)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -244,35 +240,49 @@ class PiecewiseFunction1D:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "breakpoints": self._starts[1:].tolist(),
-            "pieces": self._piece_dicts(slice(None)),
-        }
+        pieces = [{"slope": s, "intercept": c, "tag": t} for s, c, t in self.pieces]
+        return {"lo": self.lo, "hi": self.hi, "breakpoints": self.breakpoints, "pieces": pieces}
 
-    def _piece_dicts(self, part: slice) -> list[dict]:
-        rows = zip(self._slopes[part].tolist(), self._icepts[part].tolist(), self._tag_run(part))
-        return [{"slope": s, "intercept": c, "tag": t} for s, c, t in rows]
+    def _blocks(self, num, tag_text):
+        """``(k, slopes, intercepts, tags)`` per block of ``_JSON_CHUNK`` pieces from piece ``k`` on,
+        as text: ``num`` of a float list, and ``tag_text`` once per distinct tag (by type and value)."""
+        keyed = lambda part: zip(map(type, part), part)
+        text = {key: tag_text(key[1]) for key in set(keyed(self._tags or (None,)))}
+        for k in range(0, len(self._slopes), _JSON_CHUNK):
+            part = slice(k, k + _JSON_CHUNK)
+            run = map(text.__getitem__, keyed(self._tags[part] if self._tags else repeat(None)))
+            yield k, num(self._slopes[part].tolist()), num(self._icepts[part].tolist()), run
 
     def json_chunks(self, extra: dict | None = None):
         """``json.dumps`` of ``to_dict()``, updated with ``extra``, as a run of strings.
 
         The first string holds the breakpoints and the first ``_JSON_CHUNK``
-        pieces, each later one the next ``_JSON_CHUNK`` pieces, so writing
-        them one by one never holds more piece dicts than that, nor the whole
-        text; a function of up to ``_JSON_CHUNK`` pieces is one ``json.dumps``.
-        ``extra``'s keys must be new ones; they follow ``pieces``, as
-        ``dict.update`` puts them.
+        pieces, each later one the next ``_JSON_CHUNK`` pieces, formatted from
+        a block of the arrays: writing them one by one never holds an object
+        per piece, nor the whole text.  ``extra``'s keys must be new ones; they
+        follow ``pieces``, as ``dict.update`` puts them.
         """
-        n = len(self._slopes)
-        first = {"lo": self.lo, "hi": self.hi, "breakpoints": self._starts[1:].tolist(),
-                 "pieces": self._piece_dicts(slice(0, _JSON_CHUNK))}
-        text = json.dumps(first)[:-2]  # less the "]}" that close the pieces and the object
-        for k in range(_JSON_CHUNK, n, _JSON_CHUNK):
-            yield text
-            text = ", " + json.dumps(self._piece_dicts(slice(k, k + _JSON_CHUNK)))[1:-1]
+        floats = lambda xs: json.dumps(xs)[1:-1].split(", ")  # a float's text holds no ", "
+        piece = '{{"slope": {}, "intercept": {}, "tag": {}}}'.format
+        cuts = ", ".join(json.dumps(self._starts[k:k + _JSON_CHUNK].tolist())[1:-1]
+                         for k in range(1, len(self._starts), _JSON_CHUNK))  # a block at a time too
+        text = json.dumps({"lo": self.lo, "hi": self.hi})[:-1] + f', "breakpoints": [{cuts}], "pieces": ['
+        for k, slopes, icepts, tags in self._blocks(floats, json.dumps):
+            if k:
+                yield text
+                text = ", "
+            text += ", ".join(map(piece, slopes, icepts, tags))
         yield text + "]" + (", " + json.dumps(extra)[1:-1] if extra else "") + "}"
+
+    def csv_chunks(self):
+        """The table ``piece_lo,piece_hi,slope,intercept,tag``, in strings of ``_JSON_CHUNK`` rows
+        after the header: numbers to 9 significant digits, an untagged piece's tag empty."""
+        g9 = lambda xs: list(map(format, xs, repeat(".9g")))
+        for k, slopes, icepts, tags in self._blocks(g9, lambda t: "" if t is None else f"{t}"):
+            # the block's piece starts, then the next start or hi, then hi: map stops at the last row
+            edges = g9([*self._starts[k:k + _JSON_CHUNK + 1].tolist(), self.hi])
+            rows = "".join(map("{},{},{},{},{}\n".format, edges, edges[1:], slopes, icepts, tags))
+            yield rows if k else "piece_lo,piece_hi,slope,intercept,tag\n" + rows
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())

@@ -35,6 +35,7 @@ utilities realize every sign pattern, the worst case for this family.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq
 
@@ -372,7 +373,7 @@ def _sweep(
         ends.setdefault(ns[k] + ms[k], []).append(k)
     finals: list = [None] * B  # per pair, its (D, P, Q) scores at cell (n_k, m_k)
     trace = np.empty(B * _trace_bytes(n, m), dtype=np.uint8)
-    base = [0, 0]
+    base = array("q", (0, 0))  # 8 bytes per diagonal, not a Python int
     off = 0
     for d0, rows, c0, c1 in _blocks(n, m):
         lo_f, hi_f = (c0 - 1) * B, c1 * B
@@ -406,7 +407,7 @@ def _sweep(
         # the flags read as uint8, so matmul packs them without a cast copy of the block
         np.matmul(_TRACE_BITS, below.view(np.uint8).reshape(rows, 6, width),
                   out=trace[off:off + size].reshape(rows, width))
-        base += range(off - c0 * B, off - c0 * B + size, width)
+        base.extend(range(off - c0 * B, off - c0 * B + size, width))
         off += size
         del sub, below  # this block's scratch goes before the next block's is built
 
@@ -420,7 +421,7 @@ def _sweep(
 
 
 def _trace_back(
-    a: tuple[str, ...], b: tuple[str, ...], cells, base: list[int], B: int, k: int, state: int
+    a: tuple[str, ...], b: tuple[str, ...], cells, base: array, B: int, k: int, state: int
 ) -> tuple[Alignment, AlignmentFeatures]:
     """Follow pair ``k``'s stored predecessor bits from cell (n, m) in ``state``.
 

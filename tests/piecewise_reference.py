@@ -8,8 +8,9 @@ looped over pieces in Python, and ``spa_erm_trial`` is the body of
 ``argmax(average(duals))`` the exact re-scoring of near-tied candidates, one
 candidate and one dual at a time.  ``count_oscillations`` is the last
 version that branched piece by piece (it has no NaN check: a NaN ``z`` is
-outside its contract).  Tests require the live code to return equal
-(``==``) functions and results.
+outside its contract).  ``csv_table`` is the CSV loop of the last
+``cli._pf_payload``, which formatted ``fn.pieces`` one by one.  Tests require
+the live code to return equal (``==``) functions, results and text.
 """
 
 from __future__ import annotations
@@ -277,3 +278,15 @@ def count_oscillations(fn: PiecewiseFunction1D, z: float) -> int:
         if u != v:
             changes += 1
     return changes
+
+
+def _f9(x) -> str:
+    return format(float(x), ".9g")
+
+
+def csv_table(fn: PiecewiseFunction1D) -> str:
+    edges = [fn.lo, *fn.breakpoints, fn.hi]
+    lines = ["piece_lo,piece_hi,slope,intercept,tag\n"]
+    for k, (s, c, t) in enumerate(fn.pieces):
+        lines.append(f"{_f9(edges[k])},{_f9(edges[k + 1])},{_f9(s)},{_f9(c)},{'' if t is None else t}\n")
+    return "".join(lines)

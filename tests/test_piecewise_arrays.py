@@ -1,6 +1,7 @@
 """The array-backed ``PiecewiseFunction1D`` against the frozen constructor loop in
 ``piecewise_reference``: equal breakpoints, pieces and tags; its list views; its
-chunked JSON encoder; and the memory of a large streamed decomposition."""
+chunked JSON and CSV writers, against ``json.dumps`` of ``to_dict()`` and the
+frozen CSV loop; and the memory of a large streamed decomposition."""
 
 import json
 import math
@@ -126,6 +127,63 @@ def test_json_round_trip_and_chunks(monkeypatch):
             assert PiecewiseFunction1D.from_json(text) == fn
             assert "".join(fn.json_chunks(extra)) == json.dumps({**fn.to_dict(), **extra})
             assert len(list(fn.json_chunks())) == -(-len(fn.pieces) // chunk)  # one per chunk of pieces
+
+
+def assert_text_forms(fn, extras=(None, {}, {"piece_count": 3, "tad_sets": [[[0, 1]]]})):
+    for extra in extras:
+        text = "".join(fn.json_chunks(extra))
+        assert text == json.dumps({**fn.to_dict(), **(extra or {})})
+        assert PiecewiseFunction1D.from_json(text) == fn
+    assert "".join(fn.csv_chunks()) == ref.csv_table(fn)
+
+
+def test_text_forms_match_json_dumps_and_the_frozen_csv_loop():
+    kinds = dict(untagged=0, int_tags=0, mixed_tags=0, negative_zero=0, infinite_hi=0)
+    for lo, hi, cuts, pieces in corpus(17, 600):
+        fn = PiecewiseFunction1D(lo, hi, cuts, pieces)
+        assert_text_forms(fn)
+        tags = {type(t) for *_, t in fn.pieces}
+        kinds["untagged" if tags == {type(None)} else "int_tags" if tags == {int} else "mixed_tags"] += 1
+        kinds["negative_zero"] += any(math.copysign(1.0, s) < 0 == s for s, _, _ in fn.pieces)
+        kinds["infinite_hi"] += hi == math.inf
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_text_forms_of_1_and_a_chunk_and_more_pieces():
+    rng = np.random.default_rng(29)
+    for n in (1, pw._JSON_CHUNK, pw._JSON_CHUNK + 1):
+        cuts = np.sort(rng.uniform(0.0, 10.0, size=n - 1))
+        slopes = rng.choice([-0.0, 0.0, 1.5, rng.normal()], size=n)
+        icepts = rng.normal(size=n)  # neighbours differ, so no piece merges
+        for tags in (None, rng.integers(0, 5, size=n).tolist(),
+                     [None if t < 2 else t for t in rng.integers(0, 5, size=n).tolist()]):
+            fn = PiecewiseFunction1D.from_arrays(0.0, math.inf, cuts, slopes, icepts, tags)
+            assert len(fn.pieces) == n
+            assert_text_forms(fn)
+            assert len(list(fn.json_chunks())) == len(list(fn.csv_chunks())) == -(-n // pw._JSON_CHUNK)
+
+
+def test_tags_of_one_value_and_other_types_print_apart():
+    tags = [1, True, 1.0, "a", None, 1, -0.0]
+    fn = PiecewiseFunction1D.from_arrays(-1.0, 1.0, np.linspace(-0.5, 0.5, 6), np.zeros(7), np.arange(7.0),
+                                         tags)
+    assert_text_forms(fn)
+    assert [row.rsplit(",", 1)[1] for row in "".join(fn.csv_chunks()).splitlines()[1:]] == [
+        "1", "True", "1.0", "a", "", "1", "-0.0"]
+
+
+def test_the_json_writer_calls_json_dumps_per_block_not_per_piece(monkeypatch):
+    n = 3 * pw._JSON_CHUNK
+    fn = PiecewiseFunction1D.from_arrays(0.0, 1.0, np.linspace(0.0, 1.0, n + 1)[1:-1], np.ones(n),
+                                         np.arange(float(n)), [k % 3 for k in range(n)])
+    want = json.dumps({**fn.to_dict(), "extra": 1})
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: calls.append(obj) or dumps(obj, **kw))
+    assert "".join(fn.json_chunks({"extra": 1})) == want
+    # lo and hi, three columns (breakpoints, slopes, intercepts) per block, each of the
+    # three distinct tags once, the extra keys
+    assert len(calls) == 1 + 3 * 3 + 3 + 1, len(calls)
 
 
 def test_tad_chords_keep_their_tags_as_one_tuple():
