@@ -121,11 +121,9 @@ def finite_class_bound(n_mechanisms: int, N: int, delta: float) -> float:
 
 
 def _scaled_sum(terms, x):
-    """sum_i a_i e^(-x d_i) over ``(a_i, d_i)``, the d_i shifted so that d_0 = 0.
+    """sum_i a_i e^(-x d_i) over ``(a_i, d_i)``; ``ValueError`` when a power overflows.
 
-    This is the exponential sum divided by its first term's power: the same
-    sign everywhere, and every power at most 1 for x >= 0.  ``ValueError``
-    when a power overflows.
+    ``_isolate`` shifts the d_i to d_0 = 0: the same sign, every power at most 1 for x >= 0.
     """
     try:
         return math.fsum(a * math.exp(-x * d) for a, d in terms)
@@ -199,14 +197,24 @@ def exp_sum_roots(
     """
     if lo >= hi or tol <= 0:
         raise ValueError("need lo < hi and tol > 0")
+    summed = _per_base(terms)
+    return _isolate(summed, float(lo), float(hi), tol) if summed else []
+
+
+def exp_sum_at(terms: Sequence[tuple[float, float]], x: float) -> float:
+    """h(x) = sum_i a_i / b_i^x on the per-base sums ``exp_sum_roots`` isolates: 0.0 if all are 0."""
+    return _scaled_sum(_per_base(terms), x)
+
+
+def _per_base(terms) -> list[tuple[float, float]]:
+    """``(a, ln b)`` by increasing base b, a the ``math.fsum`` of b's coefficients, zero sums dropped."""
     by_base: dict[float, list[float]] = {}
     for a, b in terms:
         if b <= 0:
             raise ValueError("all bases must be positive")
         by_base.setdefault(b, []).append(a)
     summed = [(math.fsum(by_base[b]), math.log(b)) for b in sorted(by_base)]
-    summed = [(a, lam) for a, lam in summed if a]
-    return _isolate(summed, float(lo), float(hi), tol) if summed else []
+    return [(a, lam) for a, lam in summed if a]
 
 
 @dataclass

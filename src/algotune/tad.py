@@ -5,11 +5,12 @@ diagonal blocks) is independent of the exponent parameter, so the objective
 for a TAD set is sum c_ij / (j-i)^rho and the optimizer is a weighted-interval
 scheduling DP.  The parameter decomposition is numerical: optimal sets change
 where exponential sums cross zero.  ``rho_decomposition`` finds those
-crossings with one explicit-stack sweep, the ray search of
-``piecewise.sweep_linear`` with line crossings replaced by the roots of
-objective differences, which ``bounds.exp_sum_roots`` isolates with a
-certificate (coefficients summed per span, so sets tied at every rho give
-no root) at adjacent doubles, and approximates each region's objective by
+crossings with one explicit-stack sweep and one rule: an interval's rival is
+the optimal set at its right end, or at its midpoint where both ends agree;
+the optimum is probed at each root of held minus rival inside
+(``bounds.exp_sum_roots``, certified, at adjacent doubles), and with none
+the rival holds only if that difference is negative at the midpoint.  The
+search reads no tolerance; each region's objective is then approximated by
 linear pieces within the caller's tolerance.  The objective of an optimal
 set is a convex exponential sum whose curvature falls in rho, so each chord
 is laid at a width that a curvature bound certifies, with no probing
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import exp_sum_roots
+from .bounds import exp_sum_at, exp_sum_roots
 from .piecewise import EPS_CMP, PiecewiseFunction1D, check_power
 
 
@@ -282,27 +283,26 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     """Parameter decomposition of the optimal TAD objective on [0, rho_hi].
 
     Explicit-stack sweep in the shape of ``piecewise.sweep_linear``; each
-    interval carries the optimal sets at its ends.  Where they agree, one mid
-    probe guards against a third set winning strictly inside.  Where they
-    differ, the roots of their objective difference (an exponential sum) are
-    isolated, all of them, at adjacent doubles (``exp_sum_roots`` at the
-    smallest subnormal tolerance); the coefficients are summed per span
-    first, so two sets tied at every rho have no root and the sweep does not
-    chase their rounding.  The optimum is probed at each root inside the
-    interval and the sub-intervals are searched in turn.  With none inside
-    (a root that rounds onto an end is dropped) the sets cross at an end,
-    and the set higher at the midpoint holds the interval.  Once the sweep
-    is done, each region's objective is approximated by chords that lie
-    between 0 and 2 * tol * (1 - 2**-8) above it, each as wide as the
-    curvature bound at its start allows (``_fit_chords``: widths certified
-    per 64th of the region, the chord ends one array pass).  Every chord end
-    is then lowered by one constant delta, half the largest certified height
-    h**2 * g'' / 8 among all the chords (``_chord_bound``), so each piece is
-    within tol * (1 - 2**-8) of its set's objective.  The end values sit
-    delta below ``_objective_at``'s, within a few ulps of
-    ``tad_objective``'s, neighbouring pieces still share their end values,
-    and delta is 0 when no fitted set has a span above 1.
-    ``cap_warning`` is always False.
+    interval carries the optimal sets at its ends and holds the left one
+    against one rival: the right one, or where both agree the optimum at the
+    midpoint.  The roots of held minus rival (an exponential sum) are all
+    isolated at adjacent doubles (``exp_sum_roots`` at the smallest subnormal
+    tolerance); the optimum is probed at each root inside the interval and
+    the sub-intervals are searched in turn.  With none inside (a root that
+    rounds onto an end is dropped) the rival holds the interval only if the
+    difference is negative at the midpoint, read by ``exp_sum_at`` on the
+    same per-span sums, so sets tied at every rho read 0 and are not chased.
+    The search reads neither ``tol`` nor ``tad_objective``.  Each region's
+    objective is then approximated by chords that lie between 0 and
+    2 * tol * (1 - 2**-8) above it, each as wide as the curvature bound at
+    its start allows (``_fit_chords``: widths certified per 64th of the
+    region, the chord ends one array pass).  Every chord end is then lowered
+    by one constant delta, half the largest certified height h**2 * g'' / 8
+    among all the chords (``_chord_bound``), so each piece is within
+    tol * (1 - 2**-8) of its set's objective.  The end values sit delta
+    below ``_objective_at``'s, within a few ulps of ``tad_objective``'s,
+    neighbouring pieces still share their end values, and delta is 0 when
+    no fitted set has a span above 1.  ``cap_warning`` is always False.
 
     ``ValueError`` when tol < 2**-41 * V(0), V(0) the optimal objective at
     rho = 0.  Fitted sets have positive weights, so their objectives fall in
@@ -337,27 +337,18 @@ def rho_decomposition(w: TadWeights, rho_hi: float, tol: float) -> TadDecomposit
     while todo:
         a, b, t_a, t_b = todo.pop()
         mid = 0.5 * (a + b)
-        held = t_a
-        if t_a == t_b:
-            # the difference to another set may cross zero twice inside
-            t_mid, v_mid = tad_optimize(w, mid)
-            if t_mid != t_a and v_mid > tad_objective(w, t_a, mid) + max(tol * 1e-3, 1e-12):
-                todo += [(mid, b, t_mid, t_b), (a, mid, t_a, t_mid)]
-                continue
-        else:
-            in_a, in_b = set(t_a.intervals), set(t_b.intervals)
-            terms = [(w.c[i][j], float(j - i)) for i, j in in_a - in_b]
-            terms += [(-w.c[i][j], float(j - i)) for i, j in in_b - in_a]
-            roots = [r for r in exp_sum_roots(terms, a, b, math.ulp(0.0)) if a < r < b]
-            if roots:
-                edges = [a] + roots + [b]
-                opts = [t_a] + [tad_optimize(w, x)[0] for x in roots] + [t_b]
-                todo += reversed(list(zip(edges, edges[1:], opts, opts[1:])))
-                continue
-            # the sets cross at an end: the one higher at the midpoint holds it
-            if tad_objective(w, t_b, mid) > tad_objective(w, t_a, mid):
-                held = t_b
-        regions.append((a, b, held))
+        # the rival: the set at the right end, or where both ends agree the optimum at mid
+        rival = t_b if t_a != t_b else tad_optimize(w, mid)[0]
+        in_a, in_r = set(t_a.intervals), set(rival.intervals)
+        diff = [(w.c[i][j], float(j - i)) for i, j in in_a - in_r]
+        diff += [(-w.c[i][j], float(j - i)) for i, j in in_r - in_a]
+        roots = [r for r in exp_sum_roots(diff, a, b, math.ulp(0.0)) if a < r < b] if diff else []
+        if roots:
+            edges = [a] + roots + [b]
+            opts = [t_a] + [tad_optimize(w, x)[0] for x in roots] + [t_b]
+            todo += reversed(list(zip(edges, edges[1:], opts, opts[1:])))
+        else:  # the sets cross at most at an end: the rival holds it only if higher at mid
+            regions.append((a, b, rival if exp_sum_at(diff, mid) < 0.0 else t_a))
 
     tag_of: dict[TadSet, int] = {}  # each fitted set -> its tag, in the order first fitted
     fits: list[tuple[np.ndarray, int]] = []  # chords (lo, hi, g(lo), g(hi)) of a region, tag

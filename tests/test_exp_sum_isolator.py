@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from algotune.bounds import exp_sum_roots
+from algotune.bounds import exp_sum_at, exp_sum_roots
 from exp_sum_reference import exp_sum_roots as scan_roots
 
 TOL = 1e-9
@@ -82,6 +82,17 @@ def test_sum_cancelling_per_base_has_no_roots():
     terms = [(0.7, 2.0), (-1.3, 3.0), (0.25, 5.0), (-0.7, 2.0), (1.3, 3.0), (-0.25, 5.0)]
     assert exp_sum_roots(terms, 0.0, 3.0, TOL) == []
     assert exp_sum_roots(terms[:2] + [(-0.7, 2.0), (1.3, 3.0)], -2.0, 2.0, TOL) == []
+
+
+def test_value_on_the_per_base_sums():
+    # a sum cancelling per base reads exactly 0 anywhere; otherwise h(x) itself
+    tie = [(0.25, 2.0), (0.5, 2.0), (-0.75, 2.0), (1e-17, 3.0), (-1e-17, 3.0)]
+    assert [exp_sum_at(tie, x) for x in (0.0, 0.7, 4.0)] == [0.0, 0.0, 0.0]
+    assert exp_sum_at([], 1.0) == 0.0
+    terms = [(1.0, 2.0), (-1.5, 3.0), (0.5, 2.0)]
+    for x in (0.0, 0.5, 1.0, 3.0):
+        assert exp_sum_at(terms, x) == pytest.approx(1.5 / 2.0**x - 1.5 / 3.0**x, abs=1e-15)
+    assert exp_sum_at(terms, 0.5) > 0.0 and exp_sum_at(terms[:2], 0.5) < 0.0
 
 
 def test_every_scan_root_is_found_and_the_count_is_bounded():

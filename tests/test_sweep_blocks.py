@@ -186,9 +186,9 @@ def test_skinny_batch_is_cut_by_window_bytes(monkeypatch):
 
 
 def test_skinny_chunks_peak_within_the_budget(monkeypatch):
-    # a block's scratch is up to 29 bytes per window cell: pairs of 64 x 1 hold about 20
-    # times their traceback in it, so a plan on the traceback alone put these 60 pairs
-    # in one chunk at about 3 times the budget
+    # a block's scratch is up to 16 bytes per window cell (_BLOCK_BYTES): pairs of 64 x 1
+    # hold about 15 times their traceback in it, so a plan on the traceback alone put
+    # these 60 pairs in one chunk at about 3 times the budget
     rng = np.random.default_rng(253)
     shapes = [(64, 1)] * 40 + [(600, 1), (1, 600), (63, 2), (2, 63)] * 5
     pairs = [(Sequence(rng.choice(list("ACGT"), size=n)), Sequence(rng.choice(list("ACGT"), size=m)))

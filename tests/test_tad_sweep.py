@@ -111,3 +111,54 @@ def test_sets_tied_at_every_rho_are_not_chased():
     assert w.n == 11
     tags = [tag for *_, tag in rho_decomposition(w, 2.0, TOL).fn.pieces]
     assert sum(s != t for s, t in zip(tags, tags[1:])) <= 2
+
+
+def test_planted_midpoint_rivals_are_found():
+    # {(2, 4)} beats the held {(1, 2), (4, 7)} at rho = 2 by m < tol * 1e-3 and by up to
+    # about 0.12 elsewhere inside, so any slack on the midpoint probe would hide it
+    held, rival = tad.TadSet([(1, 2), (4, 7)]), tad.TadSet([(2, 4)])
+    rng = np.random.default_rng(30)
+    kept = 0
+    while kept < 200:
+        beta = rng.uniform(0.5, 2.0)
+        gamma = beta * rng.uniform(0.86, 0.99)
+        m = rng.uniform(0.05, 0.95) * TOL * 1e-3
+        c = np.full((8, 8), -1.0)
+        c[1][2], c[4][7], c[2][4] = beta / 4 - gamma / 9 - m, gamma, beta
+        w = TadWeights(c)
+        if [tad.tad_optimize(w, x)[0] for x in (0.0, 2.0, 4.0)] != [held, rival, held]:
+            continue
+        kept += 1
+        dec = rho_decomposition(w, 4.0, TOL)
+        assert rival in dec.tad_sets
+        for rho in np.linspace(0.0, 4.0, 81).tolist():
+            assert abs(dec.fn.value(rho) - tad.tad_optimize(w, rho)[1]) <= TOL
+
+
+def test_regions_do_not_depend_on_the_tolerance():
+    # the tolerance sets only the chord fit; the set changes are the same at every tol
+    for w, rho_hi in oracle_inputs():
+        want = set_changes(w, rho_decomposition(w, rho_hi, 1e-6))
+        assert set_changes(w, rho_decomposition(w, rho_hi, 1e-3)) == want
+        if 1e-9 >= 2.0**-41 * tad.tad_optimize(w, 0.0)[1]:
+            assert set_changes(w, rho_decomposition(w, rho_hi, 1e-9)) == want
+
+
+def test_tad_14_solver_calls_and_no_objective_evaluations(monkeypatch):
+    with open(os.path.join(os.path.dirname(__file__), "data", "tad_14.csv")) as fh:
+        w = precompute_cij(ContactMatrix.from_csv(fh.read()))
+    calls = {"tad_optimize": 0, "exp_sum_roots": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(tad, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(tad, name, counted)
+
+    def refused(*args):
+        raise AssertionError("the region search evaluated a set's objective")
+
+    monkeypatch.setattr(tad, "tad_objective", refused)
+    dec = rho_decomposition(w, 4.0, TOL)
+    assert len(dec.tad_sets) == 4
+    assert calls == {"tad_optimize": 10, "exp_sum_roots": 8}
